@@ -16,7 +16,6 @@ from .analysis import (
     TheoremReport,
     check_antitriangular,
     check_corner_pattern,
-    check_rank_theorems,
     check_sign_formulas,
     claim_ids,
     classify_signs,
@@ -75,7 +74,6 @@ __all__ = [
     "TheoremReport",
     "check_antitriangular",
     "check_corner_pattern",
-    "check_rank_theorems",
     "check_sign_formulas",
     "claim_ids",
     "classify_signs",

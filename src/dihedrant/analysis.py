@@ -3,7 +3,9 @@
 Each check draws seeded random matrices from the relevant hypothesis class,
 tests the claimed identity exactly, and returns a :class:`TheoremReport`.
 Sample streams are derived per index from the seed, so results never depend
-on evaluation order or worker count.
+on evaluation order.  Every functional runs on the package's one exact
+integer layer (:mod:`dihedrant.matrix`); the search calls its kernels
+directly on integer tuples.
 
 The registry maps claim ids to runners (see ``claim_ids`` / ``run_claim``):
 
@@ -31,16 +33,14 @@ from __future__ import annotations
 
 import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from random import Random
 from typing import Callable, NamedTuple
 
-from .functionals import dihedrant, elimination_det, leibniz_det
-from .matrix import ExactMatrix
+from .functionals import dihedral_terms, dihedrant, elimination_det, leibniz_det
+from .matrix import ExactMatrix, echelon, signed_product_sum
 from .matrix_io import matrix_to_json
 from .perm import (
     DihedralElement,
@@ -69,7 +69,7 @@ class SearchConfig:
     sample_count: int = 200
     seed: int = 0
     mode: SearchMode = SearchMode.RANDOM
-    exhaustive_budget: int = 2_000_000
+    exhaustive_budget: int = 2_000_000  # most matrices one search may visit, either mode
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -334,25 +334,6 @@ def check_rank_two_small(seed: int = 0, trials: int = 200) -> TheoremReport:
     return tally.report()
 
 
-def check_rank_theorems(n: int, config: SearchConfig) -> TheoremReport:
-    """All rank-deficiency classes applicable at one order, merged."""
-    tally = _Tally(f"rank-suite:n={n}")
-    for idx in range(config.sample_count):
-        rng = _rng_for(config.seed, idx)
-        A = _rank_one_matrix(rng, n)
-        tally.record(dihedrant(A) == 0, A)
-        if n >= 2:
-            A = _equal_rows_matrix(rng, n, 1)
-            tally.record(dihedrant(A) == 0, A)
-        if n >= 4:
-            A = _equal_rows_matrix(rng, n, 2)
-            tally.record(dihedrant(A) == 0, A)
-        if n in (4, 5):
-            A = _rank_le2_matrix(rng, n)
-            tally.record(A.rank() <= 2 and dihedrant(A) == 0, A)
-    return tally.report()
-
-
 # ---------------------------------------------------------------------------
 # anti-triangular matrices
 
@@ -423,16 +404,6 @@ def _corner_pattern_matrix(rng: Random, n: int) -> ExactMatrix:
     )
 
 
-def _corner_held_count(n: int, config: SearchConfig) -> int:
-    held = 0
-    for idx in range(config.sample_count):
-        rng = _rng_for(config.seed, idx)
-        A = _corner_pattern_matrix(rng, n)
-        if dihedrant(A) == elimination_det(A):
-            held += 1
-    return held
-
-
 def check_corner_pattern(n: int, config: SearchConfig) -> TheoremReport:
     """Tally how often dih == det on the corner pattern; never asserts.
 
@@ -440,9 +411,16 @@ def check_corner_pattern(n: int, config: SearchConfig) -> TheoremReport:
     observation, not failures: the report always carries failures == 0 and
     the per-order tally in ``observation``.
     """
-    held = _corner_held_count(n, config)
-    note = f"dih=det held on {held}/{config.sample_count} samples"
+    held = 0
+    for idx in range(config.sample_count):
+        A = _corner_pattern_matrix(_rng_for(config.seed, idx), n)
+        held += dihedrant(A) == elimination_det(A)
+    note = _corner_note(held, config.sample_count)
     return TheoremReport(f"ex:corner:n={n}", config.sample_count, 0, None, note)
+
+
+def _corner_note(held: int, samples: int) -> str:
+    return f"dih=det held on {held}/{samples} samples"
 
 
 # ---------------------------------------------------------------------------
@@ -605,89 +583,46 @@ def check_rank2_expansion(seed: int = 0, sizes: tuple[int, ...] = (4, 5, 6)) -> 
 # ---------------------------------------------------------------------------
 # search for dih == det
 
-@lru_cache(maxsize=None)
-def _dihedral_image_signs(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    return tuple((elem.perm.images, sig(elem)) for elem in dihedral_group(n))
-
-
-def _dih_int(rows: tuple[tuple[int, ...], ...], n: int) -> int:
-    total = 0
-    for images, sign in _dihedral_image_signs(n):
-        product = 1
-        for i, j in enumerate(images):
-            product *= rows[i][j - 1]
-        total += product if sign > 0 else -product
-    return total
-
-
-def _det_int(rows: tuple[tuple[int, ...], ...], n: int) -> int:
-    m = [list(row) for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def search_dih_equals_det(
-    config: SearchConfig,
-    require_nonzero: bool = False,
-    workers: int = 1,
-) -> list[ExactMatrix]:
+def search_dih_equals_det(config: SearchConfig, require_nonzero: bool = False) -> list[ExactMatrix]:
     """All matrices in the configured space with dihedrant == determinant.
 
     Random mode draws ``sample_count`` integer matrices (per-index seeding;
-    duplicates stay as sampled).  Exhaustive mode enumerates every integer
-    matrix with entries in ``entry_range`` in row-major odometer order and
-    ignores ``workers``.  Output order and content depend only on the
-    config, never on scheduling.
+    duplicates stay as sampled), so the hits among the first k samples do
+    not depend on ``sample_count``.  Exhaustive mode enumerates every
+    integer matrix with entries in ``entry_range`` in row-major odometer
+    order.  Either way the number of matrices is checked against
+    ``exhaustive_budget`` before any is built.
     """
     n = config.n
+    lo, hi = config.entry_range
+    budget = config.exhaustive_budget
     if config.mode is SearchMode.EXHAUSTIVE:
-        lo, hi = config.entry_range
-        space = (hi - lo + 1) ** (n * n)
-        if space > config.exhaustive_budget:
+        base = hi - lo + 1
+        # base >= 2 makes the space at least 2**(n*n): compare exponents first
+        if base > 1 and (n * n >= budget.bit_length() or base ** (n * n) > budget):
             raise ResourceLimitError(
-                f"exhaustive space of {space} matrices exceeds the budget of {config.exhaustive_budget}"
+                f"exhaustive space of {base}^{n * n} matrices exceeds the budget of {budget}"
             )
-        hits = []
-        for flat in itertools.product(range(lo, hi + 1), repeat=n * n):
-            rows = tuple(flat[i * n : (i + 1) * n] for i in range(n))
-            if _is_hit(rows, n, require_nonzero):
-                hits.append(ExactMatrix(rows))
-        return hits
-
-    def evaluate(index: int) -> ExactMatrix | None:
-        rng = _rng_for(config.seed, index)
-        lo, hi = config.entry_range
-        rows = tuple(
-            tuple(rng.randint(lo, hi) for _ in range(n)) for _ in range(n)
+        samples = (
+            tuple(flat[i * n : (i + 1) * n] for i in range(n))
+            for flat in itertools.product(range(lo, hi + 1), repeat=n * n)
         )
-        return ExactMatrix(rows) if _is_hit(rows, n, require_nonzero) else None
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(evaluate, range(config.sample_count)))
     else:
-        outcomes = [evaluate(i) for i in range(config.sample_count)]
-    return [m for m in outcomes if m is not None]
-
-
-def _is_hit(rows: tuple[tuple[int, ...], ...], n: int, require_nonzero: bool) -> bool:
-    dih = _dih_int(rows, n)
-    if require_nonzero and dih == 0:
-        return False
-    return dih == _det_int(rows, n)
+        if config.sample_count > budget:
+            raise ResourceLimitError(
+                f"{config.sample_count} random samples exceed the budget of {budget}"
+            )
+        samples = (
+            tuple(tuple(rng.randint(lo, hi) for _ in range(n)) for _ in range(n))
+            for rng in (_rng_for(config.seed, i) for i in range(config.sample_count))
+        )
+    terms = dihedral_terms(n)
+    hits = []
+    for rows in samples:
+        dih = signed_product_sum(rows, terms)
+        if (dih or not require_nonzero) and dih == echelon([list(row) for row in rows])[1]:
+            hits.append(ExactMatrix(rows))
+    return hits
 
 
 # ---------------------------------------------------------------------------
@@ -704,18 +639,10 @@ def _antitri_runner(seed: int, trials: int) -> list[TheoremReport]:
 
 
 def _corner_runner(seed: int, trials: int) -> list[TheoremReport]:
-    reports = []
-    held_orders = []
-    for n in range(4, 9):
-        config = SearchConfig(n=n, sample_count=trials, seed=seed)
-        held = _corner_held_count(n, config)
-        note = f"dih=det held on {held}/{trials} samples"
-        reports.append(TheoremReport(f"ex:corner:n={n}", trials, 0, None, note))
-        if held == trials:
-            held_orders.append(n)
-    summary = "dih=det held on every sample for n = " + (
-        ", ".join(str(n) for n in held_orders) if held_orders else "(none)"
-    )
+    orders = range(4, 9)
+    reports = [check_corner_pattern(n, SearchConfig(n=n, sample_count=trials, seed=seed)) for n in orders]
+    held_orders = [str(n) for n, r in zip(orders, reports) if r.observation == _corner_note(trials, trials)]
+    summary = "dih=det held on every sample for n = " + (", ".join(held_orders) or "(none)")
     reports.append(TheoremReport("ex:corner", sum(r.trials for r in reports), 0, None, summary))
     return reports
 
@@ -766,4 +693,6 @@ def claim_ids() -> list[str]:
 def run_claim(claim_id: str, seed: int = 0, trials: int = 200) -> list[TheoremReport]:
     if claim_id not in CLAIMS:
         raise KeyError(claim_id)
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     return CLAIMS[claim_id].run(seed, trials)

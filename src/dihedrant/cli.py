@@ -19,7 +19,7 @@ import sys
 
 from . import analysis
 from .functionals import dihedrant, elimination_det, leibniz_det
-from .matrix_io import MatrixFormatError, format_scalar, load_matrix, matrix_to_obj
+from .matrix_io import MatrixFormatError, load_matrix, matrix_to_obj
 from .perm import DEFAULT_SYMMETRIC_CAP, ResourceLimitError
 from .schemes import corrected_scheme_4x4, false_sarrus_scheme, render_scheme_text
 
@@ -107,7 +107,7 @@ def _cmd_eval(args) -> int:
         value = leibniz_det(A, cap=_oracle_cap())
     else:
         value = elimination_det(A)
-    print(format_scalar(value))
+    print(value)
     return EXIT_OK
 
 

@@ -10,16 +10,21 @@
 * ``elimination_det``: fraction-free (Bareiss) elimination, the scalable
   reference for orders beyond the oracle cap.
 
-All three share ``group_functional``, the signed-permutation-sum kernel.
+``dihedrant`` and ``elimination_det`` run on the integer rows of
+:func:`dihedrant.matrix.cleared_rows`, through the package's one
+signed-product loop and its one elimination kernel.  ``leibniz_det`` shares
+only the signed-product loop: it reads the matrix entries as they are and
+never touches the clearing step or the elimination kernel, so comparing it
+with ``elimination_det`` compares two independent routes.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable
 
-from .matrix import ExactMatrix
+from .matrix import ExactMatrix, cleared_rows, echelon, signed_product_sum
 from .perm import (
     DEFAULT_SYMMETRIC_CAP,
     Permutation,
@@ -34,30 +39,18 @@ def group_functional(A: ExactMatrix, terms: Iterable[tuple[Permutation, int]]) -
     """Sum of sign * prod_i A(i, sigma(i)) over the given (sigma, sign) pairs.
 
     The sum is exact, hence independent of term order.  When every entry is
-    an integer the products run on plain ints and are wrapped at the end.
+    an integer the products run on plain ints.
     """
-    n = A.n
     grid = A.rows
     if all(e.denominator == 1 for row in grid for e in row):
-        ints = [[e.numerator for e in row] for row in grid]
-        total = 0
-        for perm, sign in terms:
-            if perm.n != n:
-                raise ValueError(f"permutation of order {perm.n} on a {n}x{n} matrix")
-            product = 1
-            for i, j in enumerate(perm.images):
-                product *= ints[i][j - 1]
-            total += product if sign > 0 else -product
-        return Fraction(total)
-    total = Fraction(0)
-    for perm, sign in terms:
-        if perm.n != n:
-            raise ValueError(f"permutation of order {perm.n} on a {n}x{n} matrix")
-        product = Fraction(1)
-        for i, j in enumerate(perm.images):
-            product *= grid[i][j - 1]
-        total += product if sign > 0 else -product
-    return total
+        grid = [[e.numerator for e in row] for row in grid]
+    return Fraction(signed_product_sum(grid, ((p.images, sign) for p, sign in terms)))
+
+
+@lru_cache(maxsize=None)
+def dihedral_terms(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The 2n (images, sig) pairs of D_n, built once per order."""
+    return tuple((elem.perm.images, sig(elem)) for elem in dihedral_group(n))
 
 
 def dihedrant(A: ExactMatrix) -> Fraction:
@@ -66,7 +59,8 @@ def dihedrant(A: ExactMatrix) -> Fraction:
     Identically zero for n <= 2 (each reflection repeats a rotation's
     product) and equal to the determinant for n = 3, where D_3 = S_3.
     """
-    return group_functional(A, ((e.perm, sig(e)) for e in dihedral_group(A.n)))
+    ints, scales = cleared_rows(A.rows)
+    return Fraction(signed_product_sum(ints, dihedral_terms(A.n)), scales)
 
 
 def leibniz_det(A: ExactMatrix, cap: int = DEFAULT_SYMMETRIC_CAP) -> Fraction:
@@ -78,32 +72,6 @@ def leibniz_det(A: ExactMatrix, cap: int = DEFAULT_SYMMETRIC_CAP) -> Fraction:
 
 
 def elimination_det(A: ExactMatrix) -> Fraction:
-    """Determinant by fraction-free elimination; agrees with leibniz_det.
-
-    Row denominators are cleared first (tracked as an overall factor), then
-    Bareiss updates keep every intermediate an integer: the division by the
-    previous pivot is exact by Sylvester's identity.
-    """
-    n = A.n
-    denominator_factor = 1
-    m: list[list[int]] = []
-    for row in A.rows:
-        scale = math.lcm(*(e.denominator for e in row))
-        denominator_factor *= scale
-        m.append([int(e * scale) for e in row])
-
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return Fraction(sign * m[n - 1][n - 1], denominator_factor)
+    """Determinant by fraction-free elimination; agrees with leibniz_det."""
+    ints, scales = cleared_rows(A.rows)
+    return Fraction(echelon(ints)[1], scales)

@@ -7,6 +7,12 @@ match the one-line permutation convention in :mod:`dihedrant.perm`.
 
 Floats are rejected at construction: every identity this package checks is
 exact, and a silently binary-rounded entry would poison all of them.
+
+The module also holds the package's one exact-integer layer, which every
+functional, scheme and search runs on: ``cleared_rows`` turns rational rows
+into integer rows, ``signed_product_sum`` is the one loop over signed
+permutation products, and ``echelon`` is the one fraction-free elimination,
+serving both rank and determinant.
 """
 
 from __future__ import annotations
@@ -115,46 +121,86 @@ class ExactMatrix:
         )
 
     def rank(self) -> int:
-        """Exact rank over the rationals.
-
-        Denominators are cleared row by row (rank is invariant under row
-        scaling), then fraction-free elimination runs on integers: each
-        update divides by the previous pivot, which Sylvester's identity
-        makes an exact integer division.
-        """
-        m = [_cleared_int_row(row) for row in self._rows]
-        n = self.n
-        prev = 1
-        pivot_row = 0
-        for col in range(n):
-            pivot = next((r for r in range(pivot_row, n) if m[r][col] != 0), None)
-            if pivot is None:
-                continue
-            m[pivot_row], m[pivot] = m[pivot], m[pivot_row]
-            lead = m[pivot_row][col]
-            for r in range(pivot_row + 1, n):
-                factor = m[r][col]
-                for c in range(col + 1, n):
-                    m[r][c] = _exact_div(m[r][c] * lead - factor * m[pivot_row][c], prev)
-                m[r][col] = 0
-            prev = lead
-            pivot_row += 1
-            if pivot_row == n:
-                break
-        return pivot_row
+        """Exact rank over the rationals (row scaling does not change it)."""
+        return echelon(cleared_rows(self._rows)[0])[0]
 
     def _check_perm(self, sigma: Permutation) -> None:
         if sigma.n != self.n:
             raise ValueError(f"permutation of order {sigma.n} on a {self.n}x{self.n} matrix")
 
 
-def _cleared_int_row(row: tuple[Fraction, ...]) -> list[int]:
-    scale = math.lcm(*(e.denominator for e in row))
-    return [int(e * scale) for e in row]
+# ---------------------------------------------------------------------------
+# the exact-integer layer
 
 
-def _exact_div(num: int, den: int) -> int:
-    q, r = divmod(num, den)
-    if r:
-        raise ArithmeticError("fraction-free elimination produced a non-integer quotient")
-    return q
+def cleared_rows(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """Each row scaled by the lcm of its denominators, and the product of the scales.
+
+    The dihedrant, the determinant and every scheme are linear in each row,
+    so their value on ``rows`` is their value on the integer rows divided
+    by the product; rank does not change at all.
+    """
+    ints = []
+    scales = 1
+    for row in rows:
+        scale = math.lcm(*(e.denominator for e in row))
+        scales *= scale
+        ints.append([e.numerator * (scale // e.denominator) for e in row])
+    return ints, scales
+
+
+def echelon(m: list[list[int]]) -> tuple[int, int]:
+    """Rank and determinant of a square integer matrix by fraction-free elimination.
+
+    Bareiss updates run in place on ``m``, skipping columns without a pivot,
+    so the rank falls out; the determinant is 0 below full rank.  Each
+    update divides by the previous pivot, which Sylvester's identity makes
+    exact; a remainder would mean broken arithmetic, so it raises.
+    """
+    n = len(m)
+    rank, sign, prev = 0, 1, 1
+    for col in range(n):
+        top = m[rank]
+        if top[col] == 0:
+            pivot = next((r for r in range(rank + 1, n) if m[r][col]), None)
+            if pivot is None:
+                continue
+            m[rank], m[pivot] = m[pivot], top
+            top = m[rank]
+            sign = -sign
+        lead = top[col]
+        cols = range(col + 1, n)
+        for row in m[rank + 1 :]:
+            factor = row[col]
+            if prev == 1:  # always so on the first step: dividing by 1 is exact and free
+                for c in cols:
+                    row[c] = row[c] * lead - factor * top[c]
+                continue
+            for c in cols:
+                q, r = divmod(row[c] * lead - factor * top[c], prev)
+                if r:
+                    raise ArithmeticError("fraction-free elimination produced a non-integer quotient")
+                row[c] = q
+        prev = lead
+        rank += 1
+        if rank == n:
+            return n, sign * prev
+    return rank, 0
+
+
+def signed_product_sum(rows: Sequence[Sequence], terms: Iterable[tuple[Sequence[int], int]]):
+    """Sum of sign * prod_i rows[i][images[i] - 1] over the (images, sign) pairs.
+
+    ``images`` is a permutation in 1-based one-line notation.  The sum is
+    exact for int and Fraction entries alike, so term order does not matter.
+    """
+    n = len(rows)
+    total = 0
+    for images, sign in terms:
+        if len(images) != n:
+            raise ValueError(f"permutation of order {len(images)} on a {n}x{n} matrix")
+        product = 1
+        for i, j in enumerate(images):
+            product *= rows[i][j - 1]
+        total += product if sign > 0 else -product
+    return total

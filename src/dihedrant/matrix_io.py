@@ -35,11 +35,6 @@ def parse_scalar(text: str) -> Fraction:
     return Fraction(value)
 
 
-def format_scalar(value: Fraction) -> str:
-    """Render a scalar the way the CLI prints it: '-15' or '3/4'."""
-    return str(value)
-
-
 def scalar_to_obj(value: Fraction) -> int | str:
     return value.numerator if value.denominator == 1 else str(value)
 

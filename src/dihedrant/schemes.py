@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrix import ExactMatrix
+from .matrix import ExactMatrix, cleared_rows, signed_product_sum
 from .perm import (
     DihedralElement,
     Permutation,
@@ -47,12 +47,7 @@ class SignedMonomial:
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
 
     def evaluate(self, A: ExactMatrix) -> Fraction:
-        if A.n != self.perm.n:
-            raise ValueError(f"monomial of order {self.perm.n} on a {A.n}x{A.n} matrix")
-        product = Fraction(1)
-        for i, j in enumerate(self.perm.images):
-            product *= A.rows[i][j - 1]
-        return product if self.sign > 0 else -product
+        return Fraction(signed_product_sum(A.rows, [(self.perm.images, self.sign)]))
 
 
 @dataclass(frozen=True)
@@ -72,7 +67,10 @@ class Scheme:
             raise ValueError("scheme repeats a (permutation, sign) monomial")
 
     def evaluate(self, A: ExactMatrix) -> Fraction:
-        return sum((m.evaluate(A) for m in self.monomials), Fraction(0))
+        """Sum of the monomials; each is linear in every row, so integer rows serve."""
+        ints, scales = cleared_rows(A.rows)
+        terms = ((m.perm.images, m.sign) for m in self.monomials)
+        return Fraction(signed_product_sum(ints, terms), scales)
 
 
 def false_sarrus_scheme(n: int) -> Scheme:

@@ -39,5 +39,46 @@ def gauss_rank(rows) -> int:
     return rank
 
 
+def gauss_det(rows) -> Fraction:
+    """Determinant oracle: plain rational Gaussian elimination, no Bareiss, no clearing."""
+    m = [[Fraction(e) for e in row] for row in rows]
+    n = len(m)
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        lead = m[col][col]
+        det *= lead
+        for r in range(col + 1, n):
+            factor = m[r][col] / lead
+            for c in range(col, n):
+                m[r][c] -= factor * m[col][c]
+    return det
+
+
+def random_rational_rows(rng: Random, n_rows: int, n: int) -> list[list[Fraction]]:
+    return [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)] for _ in range(n_rows)]
+
+
+def low_rank_rows(rng: Random, n: int, rank: int) -> list[list[Fraction]]:
+    """n rows that are rational combinations of ``rank`` random rows, with a zero column.
+
+    The zero column sits inside the matrix, so elimination must skip a
+    column before it runs out of pivots.
+    """
+    basis = random_rational_rows(rng, rank, n)
+    for row in basis:
+        row[n // 2] = Fraction(0)
+    rows = []
+    for _ in range(n):
+        coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(rank)]
+        rows.append([sum((c * v[j] for c, v in zip(coeffs, basis)), Fraction(0)) for j in range(n)])
+    return rows
+
+
 def random_int_rows(rng: Random, n: int, lo: int = -5, hi: int = 5) -> list[list[int]]:
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]

@@ -5,6 +5,7 @@ per-criterion lines as they pass.
 """
 
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -168,11 +169,11 @@ def test_criterion_09_determinism(capsys):
         assert code1 == code2 == 0
         assert first == second
         config = SearchConfig(n=4, entry_range=(-3, 3), sample_count=400, seed=SEED)
-        assert (
-            search_dih_equals_det(config)
-            == search_dih_equals_det(config, workers=2)
-            == search_dih_equals_det(config, workers=5)
-        )
+        hits = search_dih_equals_det(config)
+        assert hits == search_dih_equals_det(config)
+        # the hits among the first 200 samples do not depend on the sample count
+        half = search_dih_equals_det(replace(config, sample_count=200))
+        assert hits[: len(half)] == half and len(hits) > len(half) > 0
 
 
 def test_criterion_10_rank2_expansion_count():

@@ -133,6 +133,13 @@ def test_verify_failure_prints_witness_and_exits_one(capsys, monkeypatch):
     assert out.splitlines()[-1] == "FAILED: 1 reports, 1 failures"
 
 
+@pytest.mark.parametrize("claim, trials", [("all", "0"), ("thm:AT", "-5"), ("ex:corner", "0")])
+def test_verify_rejects_fewer_than_one_trial(capsys, claim, trials):
+    code, out, err = run(capsys, "verify", claim, "--trials", trials)
+    assert code == 2 and out == ""
+    assert err == f"error: trials must be at least 1, got {trials}\n"
+
+
 def test_verify_all_is_deterministic(capsys):
     code1, out1, _ = run(capsys, "verify", "all", "--seed", "7", "--trials", "20")
     code2, out2, _ = run(capsys, "verify", "all", "--seed", "7", "--trials", "20")
@@ -230,6 +237,16 @@ def test_search_random_mode_is_seeded(capsys):
 def test_search_exhaustive_budget_exits_three(capsys):
     code, _, err = run(capsys, "search", "--n", "4", "--mode", "exhaustive")
     assert code == 3 and "budget" in err
+
+
+def test_search_budget_is_checked_before_the_work(capsys):
+    # 19^90000 matrices: the message names the power, never its 115,000 digits
+    code, out, err = run(capsys, "search", "--n", "300", "--mode", "exhaustive")
+    assert code == 3 and out == ""
+    assert err == "error: exhaustive space of 19^90000 matrices exceeds the budget of 2000000\n"
+    code, out, err = run(capsys, "search", "--n", "3", "--count", str(10**12))
+    assert code == 3 and out == ""
+    assert err == "error: 1000000000000 random samples exceed the budget of 2000000\n"
 
 
 def test_search_finds_recorded_matrix(capsys):

@@ -16,7 +16,7 @@ from dihedrant.perm import (
     sig,
 )
 
-from conftest import random_int_rows
+from conftest import gauss_det, low_rank_rows, random_int_rows, random_rational_rows
 
 MINUS15 = ExactMatrix([[1, 0, 0, -1], [1, -3, 0, -3], [1, 1, 5, 5], [0, 0, 0, 1]])
 TWOS_ONES = ExactMatrix([[2, 2, 2, 2], [1, 2, 1, 1], [2, 2, 2, 1], [1, 2, 2, 1]])
@@ -135,6 +135,19 @@ def test_dihedrant_is_linear_in_rows():
         assert lhs == rhs
 
 
+def test_dihedrant_on_rational_entries_matches_the_group_sum():
+    rng = Random(39)
+    for n in (1, 2, 3, 5, 8, 13):
+        rows = random_rational_rows(rng, n, n)
+        expected = Fraction(0)
+        for elem in dihedral_group(n):
+            product = Fraction(1)
+            for i in range(1, n + 1):
+                product *= rows[i - 1][elem.perm(i) - 1]
+            expected += sig(elem) * product
+        assert dihedrant(ExactMatrix(rows)) == expected
+
+
 def test_order_three_dihedrant_equals_determinant():
     rng = Random(41)
     for _ in range(10_000):
@@ -199,6 +212,19 @@ def test_elimination_det_handles_rational_entries():
         ]
         A = ExactMatrix(rows)
         assert elimination_det(A) == leibniz_det(A)
+
+
+@pytest.mark.parametrize("n", [7, 12, 24, 40])
+def test_elimination_det_matches_plain_gauss_above_the_oracle_cap(n):
+    rng = Random(60 + n)
+    rational = random_rational_rows(rng, n, n)
+    integer = random_int_rows(rng, n, -9, 9)
+    singular = [row[:] for row in rational]
+    singular[-1] = [2 * x - y for x, y in zip(singular[0], singular[n // 2])]
+    cases = (rational, integer, singular, low_rank_rows(rng, n, n // 3 + 1))
+    for rows in cases:
+        assert elimination_det(ExactMatrix(rows)) == gauss_det(rows)
+    assert gauss_det(rational) != 0 and gauss_det(singular) == 0
 
 
 # ---------------------------------------------------------------------------

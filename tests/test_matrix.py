@@ -8,7 +8,7 @@ import pytest
 from dihedrant.matrix import ExactMatrix, as_scalar
 from dihedrant.perm import Permutation, identity_perm, inverse
 
-from conftest import gauss_rank, random_int_rows
+from conftest import gauss_rank, low_rank_rows, random_int_rows, random_rational_rows
 
 MINUS15_ROWS = [[1, 0, 0, -1], [1, -3, 0, -3], [1, 1, 5, 5], [0, 0, 0, 1]]
 
@@ -202,6 +202,16 @@ def test_rank_agrees_on_engineered_low_rank():
             coeffs = [rng.randint(-2, 2) for _ in range(r)]
             rows.append([sum(c * v[j] for c, v in zip(coeffs, basis)) for j in range(n)])
         assert ExactMatrix(rows).rank() == gauss_rank(rows)
+
+
+@pytest.mark.parametrize("n", [8, 17, 40])
+def test_rank_matches_plain_gauss_on_large_rational_matrices(n):
+    rng = Random(20 + n)
+    for rank in (1, n // 3, n - 1):
+        rows = low_rank_rows(rng, n, rank)
+        assert ExactMatrix(rows).rank() == gauss_rank(rows) == rank
+    rows = random_rational_rows(rng, n, n)
+    assert ExactMatrix(rows).rank() == gauss_rank(rows) == n
 
 
 def test_rank_invariances():

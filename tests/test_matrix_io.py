@@ -7,7 +7,6 @@ import pytest
 from dihedrant.matrix import ExactMatrix
 from dihedrant.matrix_io import (
     MatrixFormatError,
-    format_scalar,
     load_matrix,
     matrix_to_json,
     matrix_to_obj,
@@ -29,11 +28,6 @@ def test_parse_scalar_accepts_integers_and_ratios():
 def test_parse_scalar_rejects_everything_else(bad):
     with pytest.raises(MatrixFormatError):
         parse_scalar(bad)
-
-
-def test_format_scalar():
-    assert format_scalar(Fraction(-15)) == "-15"
-    assert format_scalar(Fraction(3, 4)) == "3/4"
 
 
 def test_json_round_trip():

@@ -17,7 +17,7 @@ from dihedrant.schemes import (
     scheme_signs_within_D4,
 )
 
-from conftest import random_int_rows
+from conftest import random_int_rows, random_rational_rows
 
 RANK3 = ExactMatrix([[1, 2, 3, 4], [1, 2, 3, 4], [1, 0, 0, 0], [0, 0, 0, 1]])
 MINUS15 = ExactMatrix([[1, 0, 0, -1], [1, -3, 0, -3], [1, 1, 5, 5], [0, 0, 0, 1]])
@@ -78,6 +78,8 @@ def test_band_scheme_evaluates_to_dihedrant():
         for _ in range(10):
             A = ExactMatrix(random_int_rows(rng, n, -3, 3))
             assert scheme.evaluate(A) == dihedrant(A)
+        A = ExactMatrix(random_rational_rows(rng, n, n))
+        assert scheme.evaluate(A) == dihedrant(A)
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +110,9 @@ def test_corrected_scheme_first_block_is_the_band_coset():
 def test_corrected_scheme_sums_to_determinant():
     schemes = corrected_scheme_4x4()
     rng = Random(73)
-    for _ in range(100):
-        A = ExactMatrix(random_int_rows(rng, 4, -9, 9))
+    for idx in range(100):
+        rows = random_rational_rows(rng, 4, 4) if idx % 4 == 0 else random_int_rows(rng, 4, -9, 9)
+        A = ExactMatrix(rows)
         total = sum((s.evaluate(A) for s in schemes), Fraction(0))
         assert total == leibniz_det(A)
 
