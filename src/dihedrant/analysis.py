@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -587,11 +588,24 @@ def search_dih_equals_det(config: SearchConfig, require_nonzero: bool = False) -
     """All matrices in the configured space with dihedrant == determinant.
 
     Random mode draws ``sample_count`` integer matrices (per-index seeding;
-    duplicates stay as sampled), so the hits among the first k samples do
-    not depend on ``sample_count``.  Exhaustive mode enumerates every
-    integer matrix with entries in ``entry_range`` in row-major odometer
-    order.  Either way the number of matrices is checked against
+    duplicates stay as sampled) and evaluates both functionals on each, so
+    the hits among the first k samples do not depend on ``sample_count``.
+    Either way the number of matrices is checked against
     ``exhaustive_budget`` before any is built.
+
+    Exhaustive mode returns every integer matrix with entries in
+    ``entry_range`` that is a hit, in row-major odometer order, without
+    evaluating the matrices one by one.  Both functionals are linear in the
+    last row r (``thm:linear``; Laplace expansion), so once the top n-1
+    rows are fixed, dih = d.r and det = c.r: d collects the dihedral terms
+    by the column they take from the last row (two terms per entry for
+    n >= 3), and c holds the n signed (n-1) x (n-1) minors.  The hits under
+    that prefix are the r in the box with (d - c).r = 0, and with
+    ``require_nonzero`` also d.r != 0.  They are found by meet in the
+    middle: a table of the right halves of r, keyed by their share of
+    (d - c).r, is probed with each left half.  A search therefore costs, per
+    prefix of the base**(n*(n-1)), n eliminations of order n-1 and about
+    2 * base**(n/2) dot products, plus one matrix per hit.
     """
     n = config.n
     lo, hi = config.entry_range
@@ -603,25 +617,53 @@ def search_dih_equals_det(config: SearchConfig, require_nonzero: bool = False) -
             raise ResourceLimitError(
                 f"exhaustive space of {base}^{n * n} matrices exceeds the budget of {budget}"
             )
-        samples = (
-            tuple(flat[i * n : (i + 1) * n] for i in range(n))
-            for flat in itertools.product(range(lo, hi + 1), repeat=n * n)
+        return _exhaustive_hits(n, range(lo, hi + 1), require_nonzero)
+    if config.sample_count > budget:
+        raise ResourceLimitError(
+            f"{config.sample_count} random samples exceed the budget of {budget}"
         )
-    else:
-        if config.sample_count > budget:
-            raise ResourceLimitError(
-                f"{config.sample_count} random samples exceed the budget of {budget}"
-            )
-        samples = (
-            tuple(tuple(rng.randint(lo, hi) for _ in range(n)) for _ in range(n))
-            for rng in (_rng_for(config.seed, i) for i in range(config.sample_count))
-        )
+    samples = (
+        tuple(tuple(rng.randint(lo, hi) for _ in range(n)) for _ in range(n))
+        for rng in (_rng_for(config.seed, i) for i in range(config.sample_count))
+    )
     terms = dihedral_terms(n)
     hits = []
     for rows in samples:
         dih = signed_product_sum(rows, terms)
         if (dih or not require_nonzero) and dih == echelon([list(row) for row in rows])[1]:
             hits.append(ExactMatrix(rows))
+    return hits
+
+
+def _exhaustive_hits(n: int, values: range, require_nonzero: bool) -> list[ExactMatrix]:
+    """The exhaustive search of ``search_dih_equals_det``, one prefix of n-1 rows at a time."""
+    by_last_column: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(n)]
+    for images, sign in dihedral_terms(n):
+        by_last_column[images[-1] - 1].append((images, sign))
+    ones = ((1,) * n,)  # a last row of ones leaves each term its product over the top rows
+    split = (n + 1) // 2  # left halves are enumerated, right halves tabled
+    rights = list(itertools.product(values, repeat=n - split))
+    hits = []
+    for flat in itertools.product(values, repeat=n * (n - 1)):
+        top = tuple(flat[i * n : (i + 1) * n] for i in range(n - 1))
+        d = [signed_product_sum(top + ones, terms) for terms in by_last_column]
+        # cofactors of the last row: the minor without column j + 1, signed (-1)**(n + j + 1)
+        c = [(-1) ** (n - 1 - j) * echelon([[*row[:j], *row[j + 1 :]] for row in top])[1] for j in range(n)]
+        e = [dj - cj for dj, cj in zip(d, c)]
+        e_left, e_right = e[:split], e[split:]
+        d_left, d_right = d[:split], d[split:]
+        table: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+        for right in rights:
+            key = sum(map(operator.mul, e_right, right))
+            table.setdefault(key, []).append((right, sum(map(operator.mul, d_right, right))))
+        for left in itertools.product(values, repeat=split):
+            matches = table.get(-sum(map(operator.mul, e_left, left)))
+            if matches is None:
+                continue
+            dih_left = sum(map(operator.mul, d_left, left))
+            for right, dih_right in matches:
+                if dih_left + dih_right or not require_nonzero:
+                    hits.append(ExactMatrix(top + (left + right,)))
     return hits
 
 

@@ -28,6 +28,10 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
+# Largest order ``signs`` and ``scheme`` print: both build 2n permutations of
+# length n, so time, memory and output grow as n**2; checked before the build.
+MAX_TABLE_ORDER = 256
+
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
@@ -131,7 +135,13 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED
 
 
+def _check_table_order(n: int) -> None:
+    if n > MAX_TABLE_ORDER:
+        raise ResourceLimitError(f"order {n} exceeds the table limit of {MAX_TABLE_ORDER}")
+
+
 def _cmd_signs(args) -> int:
+    _check_table_order(args.n)
     rows = analysis.classify_signs(args.n)
     name_w = max(7, max(len(r.element.name) for r in rows))
     perm_w = max(5, max(len(str(r.element.perm)) for r in rows))
@@ -157,6 +167,7 @@ def _cmd_scheme(args) -> int:
     except ValueError:
         print(f"error: expected an order or '4x4-corrected', got {args.which!r}", file=sys.stderr)
         return EXIT_USAGE
+    _check_table_order(n)
     print(render_scheme_text(false_sarrus_scheme(n)))
     return EXIT_OK
 

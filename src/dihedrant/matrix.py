@@ -18,6 +18,7 @@ serving both rank and determinant.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -25,12 +26,36 @@ from .perm import Permutation
 
 Scalar = Fraction
 
+_ENTRY_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+class MatrixFormatError(ValueError):
+    """A matrix entry, file or document that does not satisfy the format."""
+
+
+def parse_scalar(text: str) -> Fraction:
+    """Parse an ASCII integer or 'p/q' string, surrounding whitespace allowed; reject the rest."""
+    value = text.strip()
+    if not _ENTRY_RE.fullmatch(value):
+        raise MatrixFormatError(f"not an integer or p/q value: {text!r}")
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise MatrixFormatError(f"zero denominator: {text!r}") from None
+
 
 def as_scalar(value) -> Fraction:
-    """Coerce an int, Fraction, or 'p/q' string to an exact scalar."""
-    if isinstance(value, bool) or isinstance(value, float):
-        raise ValueError(f"entries must be exact (int, Fraction, or 'p/q'), got {value!r}")
-    return Fraction(value)
+    """Coerce an int, Fraction, or 'p/q' string to an exact scalar; reject every other type."""
+    kind = type(value)
+    if kind is int:
+        return Fraction(value)
+    if kind is Fraction:
+        return value
+    if isinstance(value, str):
+        return parse_scalar(value)
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return Fraction(value)
+    raise ValueError(f"entries must be exact (int, Fraction, or 'p/q'), got {value!r}")
 
 
 class ExactMatrix:
@@ -153,9 +178,10 @@ def echelon(m: list[list[int]]) -> tuple[int, int]:
     """Rank and determinant of a square integer matrix by fraction-free elimination.
 
     Bareiss updates run in place on ``m``, skipping columns without a pivot,
-    so the rank falls out; the determinant is 0 below full rank.  Each
-    update divides by the previous pivot, which Sylvester's identity makes
-    exact; a remainder would mean broken arithmetic, so it raises.
+    so the rank falls out; the determinant is 0 below full rank, and 1 for
+    the empty (0 x 0) matrix.  Each update divides by the previous pivot,
+    which Sylvester's identity makes exact; a remainder would mean broken
+    arithmetic, so it raises.
     """
     n = len(m)
     rank, sign, prev = 0, 1, 1
@@ -183,9 +209,7 @@ def echelon(m: list[list[int]]) -> tuple[int, int]:
                 row[c] = q
         prev = lead
         rank += 1
-        if rank == n:
-            return n, sign * prev
-    return rank, 0
+    return (n, sign * prev) if rank == n else (rank, 0)
 
 
 def signed_product_sum(rows: Sequence[Sequence], terms: Iterable[tuple[Sequence[int], int]]):

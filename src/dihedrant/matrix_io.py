@@ -5,8 +5,10 @@ Two hand-authorable formats:
 * JSON: an array of arrays; each entry is an integer or a string "p/q".
 * CSV: one row per line; each cell is an integer or p/q.
 
-Entries are parsed strictly (no floats, no scientific notation), and parse
-errors name the offending row and column.
+Entries are parsed strictly by :func:`dihedrant.matrix.parse_scalar`, the
+parser ``ExactMatrix`` uses for strings too (no floats, no scientific
+notation, no zero denominators), and parse errors name the offending row
+and column.
 """
 
 from __future__ import annotations
@@ -14,25 +16,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-import re
 from fractions import Fraction
 from pathlib import Path
 
-from .matrix import ExactMatrix
-
-_ENTRY_RE = re.compile(r"[+-]?\d+(/\d+)?$")
-
-
-class MatrixFormatError(ValueError):
-    """A matrix file or document that does not satisfy the format."""
-
-
-def parse_scalar(text: str) -> Fraction:
-    """Parse an integer or 'p/q' string; anything else is rejected."""
-    value = text.strip()
-    if not _ENTRY_RE.fullmatch(value):
-        raise MatrixFormatError(f"not an integer or p/q value: {text!r}")
-    return Fraction(value)
+from .matrix import ExactMatrix, MatrixFormatError, parse_scalar
 
 
 def scalar_to_obj(value: Fraction) -> int | str:

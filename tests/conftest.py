@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from random import Random
 
 import pytest
 from hypothesis import settings
+
+from dihedrant.matrix import ExactMatrix
+from dihedrant.perm import dihedral_group, sig
 
 settings.register_profile("deterministic", derandomize=True, max_examples=60)
 settings.load_profile("deterministic")
@@ -82,3 +88,25 @@ def low_rank_rows(rng: Random, n: int, rank: int) -> list[list[Fraction]]:
 
 def random_int_rows(rng: Random, n: int, lo: int = -5, hi: int = 5) -> list[list[int]]:
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
+
+
+def plain_search(n: int, lo: int, hi: int, require_nonzero: bool = False) -> list[ExactMatrix]:
+    """Search oracle: every matrix in odometer order, dih and det evaluated on each one.
+
+    dih is an exact sum over ``dihedral_group(n)`` and det is ``gauss_det``;
+    nothing comes from ``analysis`` or the integer layer in ``matrix``.
+    """
+    return [ExactMatrix(rows) for rows, dih in _plain_hits(n, lo, hi) if dih != 0 or not require_nonzero]
+
+
+@lru_cache(maxsize=None)
+def _plain_hits(n: int, lo: int, hi: int) -> tuple[tuple[tuple[tuple[int, ...], ...], Fraction], ...]:
+    # each element as the flat positions (i, sigma(i)) of its product, with its sign
+    group = [([i * n + j - 1 for i, j in enumerate(elem.perm.images)], sig(elem)) for elem in dihedral_group(n)]
+    hits = []
+    for flat in itertools.product(range(lo, hi + 1), repeat=n * n):
+        dih = Fraction(sum(sign * math.prod(map(flat.__getitem__, cells)) for cells, sign in group))
+        rows = tuple(flat[i * n : (i + 1) * n] for i in range(n))
+        if dih == gauss_det(rows):
+            hits.append((rows, dih))
+    return tuple(hits)

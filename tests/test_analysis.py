@@ -7,6 +7,7 @@ from random import Random
 
 import pytest
 
+from dihedrant import analysis
 from dihedrant.analysis import (
     CLAIMS,
     SearchConfig,
@@ -39,6 +40,8 @@ from dihedrant.analysis import (
 from dihedrant.functionals import dihedrant, leibniz_det
 from dihedrant.matrix import ExactMatrix
 from dihedrant.perm import ResourceLimitError, reflection_perm, rotation_perm, sgn
+
+from conftest import plain_search
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +299,33 @@ def test_search_budget_is_enforced():
     assert search_dih_equals_det(single) == [ExactMatrix([[2] * 3] * 3)]
     with pytest.raises(ResourceLimitError):
         search_dih_equals_det(SearchConfig(n=3, sample_count=11, exhaustive_budget=10))
+
+
+@pytest.mark.parametrize("require_nonzero", [False, True])
+@pytest.mark.parametrize(
+    "n, lo, hi",
+    [(1, -2, 2), (2, -2, 2), (3, 0, 1), (3, -1, 1), (3, -2, -1), (3, 4, 4), (5, -3, -3), (4, 0, 1)],
+)
+def test_exhaustive_search_equals_the_plain_enumerator(n, lo, hi, require_nonzero):
+    config = SearchConfig(n=n, entry_range=(lo, hi), mode=SearchMode.EXHAUSTIVE)
+    # list equality: the same hits in the same row-major odometer order
+    assert search_dih_equals_det(config, require_nonzero) == plain_search(n, lo, hi, require_nonzero)
+
+
+def test_exhaustive_search_eliminates_per_prefix_not_per_matrix(monkeypatch):
+    calls = 0
+    kernel = analysis.echelon
+
+    def counted(m):
+        nonlocal calls
+        calls += 1
+        return kernel(m)
+
+    monkeypatch.setattr(analysis, "echelon", counted)
+    config = SearchConfig(n=4, entry_range=(1, 2), mode=SearchMode.EXHAUSTIVE)
+    assert len(search_dih_equals_det(config, require_nonzero=True)) == 3136
+    # n minors per prefix of n - 1 rows: 4 * 2**12, where one per matrix is 2**16
+    assert 0 < calls <= 4 * 2 ** (4 * 3)
 
 
 def test_search_config_validation():

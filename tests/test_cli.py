@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from dihedrant.cli import main
+from dihedrant.cli import MAX_TABLE_ORDER, main
 from dihedrant.analysis import TWOS_ONES_MATRIX
 from dihedrant.matrix_io import matrix_to_obj
 
@@ -148,6 +148,15 @@ def test_verify_all_is_deterministic(capsys):
     assert out1.splitlines()[-1].startswith("ok:")
 
 
+@pytest.mark.parametrize("name, text", [("zero.csv", "1,2\n3/0,4\n"), ("zero.json", '[[1, 2], ["3/0", 4]]')])
+def test_eval_zero_denominator_exits_two(capsys, tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, "eval", str(path), "det-elim")
+    assert code == 2 and out == ""
+    assert err == "error: row 2, column 1: zero denominator: '3/0'\n"
+
+
 # ---------------------------------------------------------------------------
 # signs
 
@@ -209,6 +218,16 @@ def test_scheme_corrected(capsys):
 def test_scheme_bad_argument(capsys):
     code, _, err = run(capsys, "scheme", "many")
     assert code == 2 and "4x4-corrected" in err
+
+
+@pytest.mark.parametrize("command", ["signs", "scheme"])
+def test_table_order_limit(capsys, command):
+    limit = MAX_TABLE_ORDER
+    code, out, _ = run(capsys, command, str(limit))
+    assert code == 0 and len(out.splitlines()) == 2 * limit + (command == "signs")
+    code, out, err = run(capsys, command, str(limit + 1))
+    assert code == 3 and out == ""
+    assert err == f"error: order {limit + 1} exceeds the table limit of {limit}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Exact matrices: structure operations and rank."""
 
+from decimal import Decimal
 from fractions import Fraction
 from random import Random
 
 import pytest
 
-from dihedrant.matrix import ExactMatrix, as_scalar
+from dihedrant.matrix import ExactMatrix, MatrixFormatError, as_scalar, echelon, parse_scalar
 from dihedrant.perm import Permutation, identity_perm, inverse
 
 from conftest import gauss_rank, low_rank_rows, random_int_rows, random_rational_rows
@@ -28,6 +29,26 @@ def test_floats_and_bools_are_rejected():
         as_scalar(True)
     with pytest.raises(ValueError):
         ExactMatrix([[1, 0.5], [0, 1]])
+
+
+@pytest.mark.parametrize("bad", ["1e3", "1_000", "1.5", "\u0663", "3/0", Decimal("0.5"), 1.0, None, [1]])
+def test_one_strict_scalar_parser(bad):
+    with pytest.raises(ValueError):
+        as_scalar(bad)
+    with pytest.raises(ValueError):
+        ExactMatrix([[bad]])
+
+
+def test_scalar_strings_go_through_parse_scalar():
+    assert as_scalar(" 3/4 ") == parse_scalar(" 3/4 ") == Fraction(3, 4)
+    with pytest.raises(MatrixFormatError, match="zero denominator"):
+        as_scalar("3/0")
+    q = Fraction(5, 7)
+    assert as_scalar(q) is q
+
+
+def test_echelon_of_the_empty_matrix():
+    assert echelon([]) == (0, 1)
 
 
 def test_constructor_requires_square():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from dihedrant import matrix
 from dihedrant.matrix import ExactMatrix
 from dihedrant.matrix_io import (
     MatrixFormatError,
@@ -24,10 +25,21 @@ def test_parse_scalar_accepts_integers_and_ratios():
     assert parse_scalar("-6/4") == Fraction(-3, 2)
 
 
-@pytest.mark.parametrize("bad", ["1.5", "1e3", "", "a", "1/2/3", "1/-2", "0x10"])
+@pytest.mark.parametrize("bad", ["1.5", "1e3", "", "a", "1/2/3", "1/-2", "0x10", "1_000", "\u0663", "3/0", "0/0"])
 def test_parse_scalar_rejects_everything_else(bad):
     with pytest.raises(MatrixFormatError):
         parse_scalar(bad)
+
+
+def test_parse_scalar_is_the_matrix_parser():
+    assert parse_scalar is matrix.parse_scalar and MatrixFormatError is matrix.MatrixFormatError
+
+
+def test_zero_denominator_names_the_position():
+    with pytest.raises(MatrixFormatError, match="row 2, column 1: zero denominator"):
+        parse_matrix_json('[[1, 2], ["3/0", 4]]')
+    with pytest.raises(MatrixFormatError, match="row 1, column 2: zero denominator"):
+        parse_matrix_csv("1, 3/0\n3, 4\n")
 
 
 def test_json_round_trip():
