@@ -63,14 +63,14 @@ class SearchMode(Enum):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Seeded sampling plan for checks and searches."""
+    """The space, sampling plan and budget of one search for dih == det."""
 
     n: int
     entry_range: tuple[int, int] = (-9, 9)
     sample_count: int = 200
     seed: int = 0
     mode: SearchMode = SearchMode.RANDOM
-    exhaustive_budget: int = 2_000_000  # most matrices one search may visit, either mode
+    exhaustive_budget: int = 2_000_000  # most order-4 matrices one search may visit, either mode
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -405,7 +405,7 @@ def _corner_pattern_matrix(rng: Random, n: int) -> ExactMatrix:
     )
 
 
-def check_corner_pattern(n: int, config: SearchConfig) -> TheoremReport:
+def check_corner_pattern(n: int, trials: int = 200, seed: int = 0) -> TheoremReport:
     """Tally how often dih == det on the corner pattern; never asserts.
 
     The identity has no recorded ground truth here, so mismatches are an
@@ -413,11 +413,10 @@ def check_corner_pattern(n: int, config: SearchConfig) -> TheoremReport:
     the per-order tally in ``observation``.
     """
     held = 0
-    for idx in range(config.sample_count):
-        A = _corner_pattern_matrix(_rng_for(config.seed, idx), n)
+    for idx in range(trials):
+        A = _corner_pattern_matrix(_rng_for(seed, idx), n)
         held += dihedrant(A) == elimination_det(A)
-    note = _corner_note(held, config.sample_count)
-    return TheoremReport(f"ex:corner:n={n}", config.sample_count, 0, None, note)
+    return TheoremReport(f"ex:corner:n={n}", trials, 0, None, _corner_note(held, trials))
 
 
 def _corner_note(held: int, samples: int) -> str:
@@ -584,14 +583,22 @@ def check_rank2_expansion(seed: int = 0, sizes: tuple[int, ...] = (4, 5, 6)) -> 
 # ---------------------------------------------------------------------------
 # search for dih == det
 
-def search_dih_equals_det(config: SearchConfig, require_nonzero: bool = False) -> list[ExactMatrix]:
-    """All matrices in the configured space with dihedrant == determinant.
+IntRows = tuple[tuple[int, ...], ...]  # one search hit: the rows of an integer matrix
+
+
+def search_dih_equals_det(config: SearchConfig, require_nonzero: bool = False) -> list[IntRows]:
+    """All integer matrices in the configured space with dihedrant == determinant.
+
+    Each hit is returned as the integer rows the search already holds, one
+    row tuple per hit; a caller who wants a matrix writes ``ExactMatrix(hit)``.
 
     Random mode draws ``sample_count`` integer matrices (per-index seeding;
     duplicates stay as sampled) and evaluates both functionals on each, so
     the hits among the first k samples do not depend on ``sample_count``.
-    Either way the number of matrices is checked against
-    ``exhaustive_budget`` before any is built.
+    Either way the search is weighed against ``exhaustive_budget`` before
+    any work: the number of matrices first, then their order, each matrix
+    of order n counting as max(n, 4)**3 / 4**3 matrices of order 4 and a
+    search as at least one matrix.
 
     Exhaustive mode returns every integer matrix with entries in
     ``entry_range`` that is a hit, in row-major odometer order, without
@@ -605,23 +612,35 @@ def search_dih_equals_det(config: SearchConfig, require_nonzero: bool = False) -
     middle: a table of the right halves of r, keyed by their share of
     (d - c).r, is probed with each left half.  A search therefore costs, per
     prefix of the base**(n*(n-1)), n eliminations of order n-1 and about
-    2 * base**(n/2) dot products, plus one matrix per hit.
+    2 * base**(n/2) dot products, plus one row tuple per hit.
     """
     n = config.n
     lo, hi = config.entry_range
     budget = config.exhaustive_budget
-    if config.mode is SearchMode.EXHAUSTIVE:
+    exhaustive = config.mode is SearchMode.EXHAUSTIVE
+    if exhaustive:
         base = hi - lo + 1
         # base >= 2 makes the space at least 2**(n*n): compare exponents first
         if base > 1 and (n * n >= budget.bit_length() or base ** (n * n) > budget):
             raise ResourceLimitError(
                 f"exhaustive space of {base}^{n * n} matrices exceeds the budget of {budget}"
             )
-        return _exhaustive_hits(n, range(lo, hi + 1), require_nonzero)
-    if config.sample_count > budget:
+        matrices = base ** (n * n)
+    elif config.sample_count > budget:
         raise ResourceLimitError(
             f"{config.sample_count} random samples exceed the budget of {budget}"
         )
+    else:
+        matrices = config.sample_count
+    # one elimination per matrix: order n costs (n/4)**3 of order 4
+    weight = max(matrices, 1) * max(n, 4) ** 3
+    if weight > budget * 4**3:
+        raise ResourceLimitError(
+            f"search at order {n} counts as {-(-weight // 4**3)} matrices of order 4"
+            f" and exceeds the budget of {budget}"
+        )
+    if exhaustive:
+        return _exhaustive_hits(n, range(lo, hi + 1), require_nonzero)
     samples = (
         tuple(tuple(rng.randint(lo, hi) for _ in range(n)) for _ in range(n))
         for rng in (_rng_for(config.seed, i) for i in range(config.sample_count))
@@ -631,11 +650,11 @@ def search_dih_equals_det(config: SearchConfig, require_nonzero: bool = False) -
     for rows in samples:
         dih = signed_product_sum(rows, terms)
         if (dih or not require_nonzero) and dih == echelon([list(row) for row in rows])[1]:
-            hits.append(ExactMatrix(rows))
+            hits.append(rows)
     return hits
 
 
-def _exhaustive_hits(n: int, values: range, require_nonzero: bool) -> list[ExactMatrix]:
+def _exhaustive_hits(n: int, values: range, require_nonzero: bool) -> list[IntRows]:
     """The exhaustive search of ``search_dih_equals_det``, one prefix of n-1 rows at a time."""
     by_last_column: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(n)]
     for images, sign in dihedral_terms(n):
@@ -663,7 +682,7 @@ def _exhaustive_hits(n: int, values: range, require_nonzero: bool) -> list[Exact
             dih_left = sum(map(operator.mul, d_left, left))
             for right, dih_right in matches:
                 if dih_left + dih_right or not require_nonzero:
-                    hits.append(ExactMatrix(top + (left + right,)))
+                    hits.append(top + (left + right,))
     return hits
 
 
@@ -682,7 +701,7 @@ def _antitri_runner(seed: int, trials: int) -> list[TheoremReport]:
 
 def _corner_runner(seed: int, trials: int) -> list[TheoremReport]:
     orders = range(4, 9)
-    reports = [check_corner_pattern(n, SearchConfig(n=n, sample_count=trials, seed=seed)) for n in orders]
+    reports = [check_corner_pattern(n, trials, seed) for n in orders]
     held_orders = [str(n) for n, r in zip(orders, reports) if r.observation == _corner_note(trials, trials)]
     summary = "dih=det held on every sample for n = " + (", ".join(held_orders) or "(none)")
     reports.append(TheoremReport("ex:corner", sum(r.trials for r in reports), 0, None, summary))

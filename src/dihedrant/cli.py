@@ -5,22 +5,19 @@ Subcommands: ``eval`` (apply a functional to a matrix file), ``verify``
 (print a scheme as text), ``search`` (hunt for dih == det matrices).
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 resource limit.  All output is deterministic given the flags; the
-``DIH_ORACLE_CAP`` environment variable optionally overrides the cap on the
-n!-term determinant oracle.
+3 resource limit.  All output is deterministic given the flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import analysis
 from .functionals import dihedrant, elimination_det, leibniz_det
-from .matrix_io import MatrixFormatError, load_matrix, matrix_to_obj
-from .perm import DEFAULT_SYMMETRIC_CAP, ResourceLimitError
+from .matrix_io import MatrixFormatError, load_matrix
+from .perm import ResourceLimitError
 from .schemes import corrected_scheme_4x4, false_sarrus_scheme, render_scheme_text
 
 EXIT_OK = 0
@@ -93,22 +90,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _oracle_cap() -> int:
-    raw = os.environ.get("DIH_ORACLE_CAP")
-    if raw is None:
-        return DEFAULT_SYMMETRIC_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"DIH_ORACLE_CAP must be an integer, got {raw!r}") from None
-
-
 def _cmd_eval(args) -> int:
     A = load_matrix(args.path, fmt=args.format)
     if args.functional == "dih":
         value = dihedrant(A)
     elif args.functional == "det-leibniz":
-        value = leibniz_det(A, cap=_oracle_cap())
+        value = leibniz_det(A)
     else:
         value = elimination_det(A)
     print(value)
@@ -181,7 +168,7 @@ def _cmd_search(args) -> int:
         mode=analysis.SearchMode(args.mode),
     )
     hits = analysis.search_dih_equals_det(config, require_nonzero=args.require_nonzero)
-    print(json.dumps([matrix_to_obj(m) for m in hits]))
+    print(json.dumps(hits))
     return EXIT_OK
 
 

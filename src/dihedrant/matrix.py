@@ -24,8 +24,6 @@ from typing import Iterable, Sequence
 
 from .perm import Permutation
 
-Scalar = Fraction
-
 _ENTRY_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 

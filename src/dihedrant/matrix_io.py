@@ -5,10 +5,10 @@ Two hand-authorable formats:
 * JSON: an array of arrays; each entry is an integer or a string "p/q".
 * CSV: one row per line; each cell is an integer or p/q.
 
-Entries are parsed strictly by :func:`dihedrant.matrix.parse_scalar`, the
-parser ``ExactMatrix`` uses for strings too (no floats, no scientific
-notation, no zero denominators), and parse errors name the offending row
-and column.
+JSON entries go through :func:`dihedrant.matrix.as_scalar` and CSV cells
+through :func:`dihedrant.matrix.parse_scalar`, the checks ``ExactMatrix``
+applies itself (no floats, no booleans, no scientific notation, no zero
+denominators), and parse errors name the offending row and column.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from .matrix import ExactMatrix, MatrixFormatError, parse_scalar
+from .matrix import ExactMatrix, MatrixFormatError, as_scalar, parse_scalar
 
 
 def scalar_to_obj(value: Fraction) -> int | str:
@@ -47,16 +47,10 @@ def matrix_from_obj(obj) -> ExactMatrix:
 
 
 def _entry_from_obj(e, i: int, j: int) -> Fraction:
-    if isinstance(e, bool):
-        raise MatrixFormatError(f"row {i}, column {j}: booleans are not matrix entries")
-    if isinstance(e, int):
-        return Fraction(e)
-    if isinstance(e, str):
-        try:
-            return parse_scalar(e)
-        except MatrixFormatError as exc:
-            raise MatrixFormatError(f"row {i}, column {j}: {exc}") from None
-    raise MatrixFormatError(f"row {i}, column {j}: entries must be integers or 'p/q' strings, got {e!r}")
+    try:
+        return as_scalar(e)
+    except ValueError as exc:
+        raise MatrixFormatError(f"row {i}, column {j}: {exc}") from None
 
 
 def parse_matrix_json(text: str) -> ExactMatrix:

@@ -12,7 +12,6 @@ from random import Random
 import pytest
 from hypothesis import settings
 
-from dihedrant.matrix import ExactMatrix
 from dihedrant.perm import dihedral_group, sig
 
 settings.register_profile("deterministic", derandomize=True, max_examples=60)
@@ -90,13 +89,14 @@ def random_int_rows(rng: Random, n: int, lo: int = -5, hi: int = 5) -> list[list
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
 
 
-def plain_search(n: int, lo: int, hi: int, require_nonzero: bool = False) -> list[ExactMatrix]:
+def plain_search(n: int, lo: int, hi: int, require_nonzero: bool = False) -> list[tuple[tuple[int, ...], ...]]:
     """Search oracle: every matrix in odometer order, dih and det evaluated on each one.
 
-    dih is an exact sum over ``dihedral_group(n)`` and det is ``gauss_det``;
-    nothing comes from ``analysis`` or the integer layer in ``matrix``.
+    Hits are integer row tuples, like the search's.  dih is an exact sum over
+    ``dihedral_group(n)`` and det is ``gauss_det``; nothing comes from
+    ``analysis`` or the integer layer in ``matrix``.
     """
-    return [ExactMatrix(rows) for rows, dih in _plain_hits(n, lo, hi) if dih != 0 or not require_nonzero]
+    return [rows for rows, dih in _plain_hits(n, lo, hi) if dih != 0 or not require_nonzero]
 
 
 @lru_cache(maxsize=None)

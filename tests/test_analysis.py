@@ -202,8 +202,7 @@ def test_corner_pattern_mask_order_four():
 
 
 def test_corner_pattern_order_three_always_agrees():
-    config = SearchConfig(n=3, sample_count=100, seed=6)
-    report = check_corner_pattern(3, config)
+    report = check_corner_pattern(3, trials=100, seed=6)
     assert report.failures == 0
     assert report.observation == "dih=det held on 100/100 samples"
 
@@ -212,8 +211,7 @@ def test_corner_pattern_table_matches_two_permutation_analysis():
     # only the diagonal and the full cycle survive the mask, so
     # dih - det = (1 - sgn(cycle)) * cycle product: zero iff n is odd
     for n in range(4, 9):
-        config = SearchConfig(n=n, sample_count=50, seed=6)
-        report = check_corner_pattern(n, config)
+        report = check_corner_pattern(n, trials=50, seed=6)
         held = int(report.observation.split()[3].split("/")[0])
         assert held == (50 if n % 2 == 1 else 0)
 
@@ -257,9 +255,10 @@ def test_rank2_expansion_length_mismatch():
 def test_search_rediscovers_the_recorded_hit():
     config = SearchConfig(n=4, entry_range=(1, 2), mode=SearchMode.EXHAUSTIVE, seed=0)
     hits = search_dih_equals_det(config, require_nonzero=True)
-    assert TWOS_ONES_MATRIX in hits
+    assert TWOS_ONES_MATRIX.rows in hits
     rng = Random(89)
-    for A in rng.sample(hits, 25):
+    for hit in rng.sample(hits, 25):
+        A = ExactMatrix(hit)
         value = dihedrant(A)
         assert value == leibniz_det(A) and value != 0
 
@@ -267,7 +266,7 @@ def test_search_rediscovers_the_recorded_hit():
 def test_search_reports_identity_in_exhaustive_zero_one_space():
     config = SearchConfig(n=3, entry_range=(0, 1), mode=SearchMode.EXHAUSTIVE)
     hits = search_dih_equals_det(config, require_nonzero=True)
-    assert ExactMatrix.identity(3) in hits
+    assert ExactMatrix.identity(3).rows in hits
 
 
 def test_search_order_two_nonzero_is_empty():
@@ -279,7 +278,7 @@ def test_search_is_reproducible_and_prefix_stable():
     config = SearchConfig(n=4, entry_range=(-2, 2), sample_count=300, seed=42)
     solo = search_dih_equals_det(config)
     assert solo == search_dih_equals_det(config)
-    assert all(dihedrant(A) == leibniz_det(A) for A in solo)
+    assert all(dihedrant(ExactMatrix(hit)) == leibniz_det(ExactMatrix(hit)) for hit in solo)
     # the first k samples, and so their hits, do not depend on sample_count
     longer = search_dih_equals_det(replace(config, sample_count=600))
     assert longer[: len(solo)] == solo and len(longer) > len(solo)
@@ -291,14 +290,25 @@ def test_search_budget_is_enforced():
         search_dih_equals_det(config)
     # 2^9 matrices fit a budget of 2^9 exactly and overflow 2^9 - 1
     small = SearchConfig(n=3, entry_range=(0, 1), mode=SearchMode.EXHAUSTIVE, exhaustive_budget=2**9)
-    assert ExactMatrix.identity(3) in search_dih_equals_det(small, require_nonzero=True)
+    assert ExactMatrix.identity(3).rows in search_dih_equals_det(small, require_nonzero=True)
     with pytest.raises(ResourceLimitError):
         search_dih_equals_det(replace(small, exhaustive_budget=2**9 - 1))
     # a one-value range is a single matrix, however large the order
     single = SearchConfig(n=3, entry_range=(2, 2), mode=SearchMode.EXHAUSTIVE, exhaustive_budget=1)
-    assert search_dih_equals_det(single) == [ExactMatrix([[2] * 3] * 3)]
+    assert search_dih_equals_det(single) == [((2, 2, 2),) * 3]
     with pytest.raises(ResourceLimitError):
         search_dih_equals_det(SearchConfig(n=3, sample_count=11, exhaustive_budget=10))
+
+
+def test_search_budget_weighs_the_order():
+    # one matrix of order 8 costs (8/4)**3 = 8 of order 4, in either mode
+    single = SearchConfig(n=8, entry_range=(2, 2), mode=SearchMode.EXHAUSTIVE, exhaustive_budget=8)
+    sampled = replace(single, mode=SearchMode.RANDOM, sample_count=1)
+    for config in (single, sampled):
+        assert search_dih_equals_det(config) == [((2,) * 8,) * 8]  # rank 1: dih = det = 0
+    for config in (single, sampled, replace(sampled, sample_count=0)):
+        with pytest.raises(ResourceLimitError, match="order 8 counts as 8 matrices of order 4"):
+            search_dih_equals_det(replace(config, exhaustive_budget=7))
 
 
 @pytest.mark.parametrize("require_nonzero", [False, True])
@@ -326,6 +336,25 @@ def test_exhaustive_search_eliminates_per_prefix_not_per_matrix(monkeypatch):
     assert len(search_dih_equals_det(config, require_nonzero=True)) == 3136
     # n minors per prefix of n - 1 rows: 4 * 2**12, where one per matrix is 2**16
     assert 0 < calls <= 4 * 2 ** (4 * 3)
+
+
+def test_search_hits_are_integer_rows_and_build_no_matrix(monkeypatch):
+    built = 0
+    init = ExactMatrix.__init__
+
+    def counted(self, rows):
+        nonlocal built
+        built += 1
+        init(self, rows)
+
+    monkeypatch.setattr(ExactMatrix, "__init__", counted)
+    exhaustive = SearchConfig(n=4, entry_range=(1, 2), mode=SearchMode.EXHAUSTIVE)
+    random = SearchConfig(n=4, entry_range=(-2, 2), sample_count=300, seed=42)
+    for config in (exhaustive, random):
+        hits = search_dih_equals_det(config)
+        assert isinstance(hits, list) and hits
+        assert all(type(e) is int for hit in hits for row in hit for e in row)
+    assert built == 0
 
 
 def test_search_config_validation():

@@ -1,12 +1,16 @@
 """CLI behavior: output, exit codes, and determinism."""
 
 import json
+import time
+from pathlib import Path
 
 import pytest
 
 from dihedrant.cli import MAX_TABLE_ORDER, main
 from dihedrant.analysis import TWOS_ONES_MATRIX
 from dihedrant.matrix_io import matrix_to_obj
+
+from conftest import plain_search
 
 
 def run(capsys, *argv):
@@ -74,23 +78,14 @@ def test_eval_missing_file_exits_two(capsys, tmp_path):
     assert code == 2 and "error" in err
 
 
-def test_eval_cap_exceeded_exits_three(capsys, tmp_path, monkeypatch):
-    path = tmp_path / "i4.json"
-    path.write_text(json.dumps([[1 if i == j else 0 for j in range(4)] for i in range(4)]))
-    monkeypatch.setenv("DIH_ORACLE_CAP", "3")
-    code, _, err = run(capsys, "eval", str(path), "det-leibniz")
-    assert code == 3 and "cap" in err
-    monkeypatch.setenv("DIH_ORACLE_CAP", "4")
-    code, out, _ = run(capsys, "eval", str(path), "det-leibniz")
+def test_eval_cap_exceeded_exits_three(capsys, tmp_path):
+    # the n!-term oracle stops above order 10, before its first term
+    path = tmp_path / "i11.json"
+    path.write_text(json.dumps([[1 if i == j else 0 for j in range(11)] for i in range(11)]))
+    code, out, err = run(capsys, "eval", str(path), "det-leibniz")
+    assert code == 3 and out == "" and "cap" in err
+    code, out, _ = run(capsys, "eval", str(path), "det-elim")
     assert code == 0 and out == "1\n"
-
-
-def test_eval_bad_cap_value_exits_two(capsys, tmp_path, monkeypatch):
-    path = tmp_path / "i2.json"
-    path.write_text("[[1,0],[0,1]]")
-    monkeypatch.setenv("DIH_ORACLE_CAP", "lots")
-    code, _, err = run(capsys, "eval", str(path), "det-leibniz")
-    assert code == 2 and "DIH_ORACLE_CAP" in err
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +261,36 @@ def test_search_budget_is_checked_before_the_work(capsys):
     code, out, err = run(capsys, "search", "--n", "3", "--count", str(10**12))
     assert code == 3 and out == ""
     assert err == "error: 1000000000000 random samples exceed the budget of 2000000\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--n", "100", "--count", "200"),
+        ("--n", "2000", "--min", "2", "--max", "2", "--mode", "exhaustive"),
+        ("--n", "2000", "--count", "0"),
+    ],
+)
+def test_search_refuses_large_orders_at_once(capsys, argv):
+    # one 100x100 elimination costs as much as 15,625 of order 4; a search costs at least one
+    start = time.perf_counter()
+    code, out, err = run(capsys, "search", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and f"order {argv[1]}" in err and "budget" in err
+
+
+@pytest.mark.parametrize("flags", [(), ("--require-nonzero",)])
+def test_search_prints_the_hits_as_json(capsys, flags):
+    code, out, _ = run(capsys, "search", "--n", "3", "--min", "0", "--max", "1", "--mode", "exhaustive", *flags)
+    assert code == 0
+    assert out == json.dumps(plain_search(3, 0, 1, require_nonzero=bool(flags))) + "\n"
+
+
+def test_verify_all_seed_seven_is_the_recorded_fingerprint(capsys):
+    code, out, _ = run(capsys, "verify", "all", "--seed", "7")
+    assert code == 0
+    assert out == (Path(__file__).resolve().parent.parent / "bench" / "verify_seed7.txt").read_text(encoding="utf-8")
 
 
 def test_search_finds_recorded_matrix(capsys):
