@@ -33,12 +33,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from random import Random
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .functionals import dihedral_terms, dihedrant, elimination_det, leibniz_det
 from .matrix import ExactMatrix, echelon, signed_product_sum
@@ -70,7 +71,7 @@ class SearchConfig:
     sample_count: int = 200
     seed: int = 0
     mode: SearchMode = SearchMode.RANDOM
-    exhaustive_budget: int = 2_000_000  # most order-4 matrices one search may visit, either mode
+    exhaustive_budget: int = 2_000_000  # most order-4 matrices, and minor products, one search may spend
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -80,6 +81,8 @@ class SearchConfig:
             raise ValueError(f"empty entry range [{lo}, {hi}]")
         if self.sample_count < 0:
             raise ValueError("sample_count must be nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.exhaustive_budget < 1:
             raise ValueError("exhaustive_budget must be positive")
 
@@ -595,24 +598,20 @@ def search_dih_equals_det(config: SearchConfig, require_nonzero: bool = False) -
     Random mode draws ``sample_count`` integer matrices (per-index seeding;
     duplicates stay as sampled) and evaluates both functionals on each, so
     the hits among the first k samples do not depend on ``sample_count``.
-    Either way the search is weighed against ``exhaustive_budget`` before
-    any work: the number of matrices first, then their order, each matrix
-    of order n counting as max(n, 4)**3 / 4**3 matrices of order 4 and a
-    search as at least one matrix.
+    Exhaustive mode returns every hit with entries in ``entry_range``, in
+    row-major odometer order.  Both functionals are linear in the last row
+    r, so with the top n-1 rows fixed, dih = d.r and det = c.r, and the hits
+    are the r in the box with (d - c).r = 0 (and d.r != 0 under
+    ``require_nonzero``), found by meet in the middle over the halves of r.
+    A depth-first walk over the prefixes carries down the minors of the
+    fixed rows on every column subset of their size (one Laplace step per
+    new row; the (n-1)-subsets give c) and the 2n dihedral partial products
+    (summing to d): sum over l < n of base**(n*l) * C(n, l) * l minor
+    products in all, then about 2 * base**(n/2) dot products per prefix.
 
-    Exhaustive mode returns every integer matrix with entries in
-    ``entry_range`` that is a hit, in row-major odometer order, without
-    evaluating the matrices one by one.  Both functionals are linear in the
-    last row r (``thm:linear``; Laplace expansion), so once the top n-1
-    rows are fixed, dih = d.r and det = c.r: d collects the dihedral terms
-    by the column they take from the last row (two terms per entry for
-    n >= 3), and c holds the n signed (n-1) x (n-1) minors.  The hits under
-    that prefix are the r in the box with (d - c).r = 0, and with
-    ``require_nonzero`` also d.r != 0.  They are found by meet in the
-    middle: a table of the right halves of r, keyed by their share of
-    (d - c).r, is probed with each left half.  A search therefore costs, per
-    prefix of the base**(n*(n-1)), n eliminations of order n-1 and about
-    2 * base**(n/2) dot products, plus one row tuple per hit.
+    Before any work the search is weighed against ``exhaustive_budget``:
+    the matrices, each of order n counting as max(n, 4)**3 / 4**3 of order
+    4 (a search as at least one), then in exhaustive mode the minor products.
     """
     n = config.n
     lo, hi = config.entry_range
@@ -640,6 +639,11 @@ def search_dih_equals_det(config: SearchConfig, require_nonzero: bool = False) -
             f" and exceeds the budget of {budget}"
         )
     if exhaustive:
+        charges = (base ** (n * depth) * math.comb(n, depth) * depth for depth in range(1, n))
+        if any(charge > budget for charge in itertools.accumulate(charges)):
+            raise ResourceLimitError(
+                f"exhaustive search at order {n} needs more minor products than the budget of {budget}"
+            )
         return _exhaustive_hits(n, range(lo, hi + 1), require_nonzero)
     samples = (
         tuple(tuple(rng.randint(lo, hi) for _ in range(n)) for _ in range(n))
@@ -656,18 +660,10 @@ def search_dih_equals_det(config: SearchConfig, require_nonzero: bool = False) -
 
 def _exhaustive_hits(n: int, values: range, require_nonzero: bool) -> list[IntRows]:
     """The exhaustive search of ``search_dih_equals_det``, one prefix of n-1 rows at a time."""
-    by_last_column: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(n)]
-    for images, sign in dihedral_terms(n):
-        by_last_column[images[-1] - 1].append((images, sign))
-    ones = ((1,) * n,)  # a last row of ones leaves each term its product over the top rows
     split = (n + 1) // 2  # left halves are enumerated, right halves tabled
     rights = list(itertools.product(values, repeat=n - split))
     hits = []
-    for flat in itertools.product(values, repeat=n * (n - 1)):
-        top = tuple(flat[i * n : (i + 1) * n] for i in range(n - 1))
-        d = [signed_product_sum(top + ones, terms) for terms in by_last_column]
-        # cofactors of the last row: the minor without column j + 1, signed (-1)**(n + j + 1)
-        c = [(-1) ** (n - 1 - j) * echelon([[*row[:j], *row[j + 1 :]] for row in top])[1] for j in range(n)]
+    for top, d, c in _last_row_coefficients([list(itertools.product(values, repeat=n))] * (n - 1)):
         e = [dj - cj for dj, cj in zip(d, c)]
         e_left, e_right = e[:split], e[split:]
         d_left, d_right = d[:split], d[split:]
@@ -684,6 +680,43 @@ def _exhaustive_hits(n: int, values: range, require_nonzero: bool) -> list[IntRo
                 if dih_left + dih_right or not require_nonzero:
                     hits.append(top + (left + right,))
     return hits
+
+
+def _last_row_coefficients(
+    levels: list[list[tuple[int, ...]]],
+) -> Iterator[tuple[IntRows, list[int], list[int]]]:
+    """Each top (row i from levels[i], in odometer order) with its d and c: dih = d.r and det = c.r."""
+    n = len(levels) + 1
+    # each row beside itself followed by its negation, so that index j + n reads -row[j]
+    levels = [[(row, row + tuple(-x for x in row)) for row in level] for level in levels]
+    subsets = [{s: k for k, s in enumerate(itertools.combinations(range(n), size))} for size in range(n)]
+    # a Laplace step along row l: M(S) = sum_t (-1)**(l + t) * row[S[t]] * M(S without S[t])
+    laplace = [
+        [
+            ([j + n * ((depth + t) % 2) for t, j in enumerate(s)],
+             [index[s[:t] + s[t + 1 :]] for t in range(len(s))])
+            for s in subsets[depth + 1]
+        ]
+        for depth, index in enumerate(subsets[:-1])
+    ]
+    cofactor_signs = [(-1) ** (n - 1 + j) for j in range(n)]  # the minor without column j is the (n-1-j)-th
+    # rotations, then reflections, each in the order of the column it takes from the last row
+    terms = sorted(dihedral_terms(n), key=lambda term: (-term[1], term[0][-1]))
+    columns = [[images[depth] - 1 for images, _ in terms] for depth in range(n - 1)]
+
+    def descend(depth: int, top: IntRows, minors: list[int], partials: list[int]):
+        if depth == n - 1:  # the partials started at each term's sign
+            d = list(map(operator.add, partials[:n], partials[n:]))
+            yield top, d, list(map(operator.mul, cofactor_signs, reversed(minors)))
+            return
+        step, cols = laplace[depth], columns[depth]
+        for row, signed in levels[depth]:
+            entry, minor = signed.__getitem__, minors.__getitem__
+            below = [sum(map(operator.mul, map(entry, js), map(minor, ks))) for js, ks in step]
+            partials_below = list(map(operator.mul, partials, map(row.__getitem__, cols)))
+            yield from descend(depth + 1, top + (row,), below, partials_below)
+
+    return descend(0, (), [1], [sign for _, sign in terms])  # the minor on the empty subset is 1
 
 
 # ---------------------------------------------------------------------------
@@ -756,4 +789,6 @@ def run_claim(claim_id: str, seed: int = 0, trials: int = 200) -> list[TheoremRe
         raise KeyError(claim_id)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     return CLAIMS[claim_id].run(seed, trials)

@@ -38,7 +38,7 @@ from dihedrant.analysis import (
     TWOS_ONES_MATRIX,
 )
 from dihedrant.functionals import dihedrant, leibniz_det
-from dihedrant.matrix import ExactMatrix
+from dihedrant.matrix import ExactMatrix, echelon
 from dihedrant.perm import ResourceLimitError, reflection_perm, rotation_perm, sgn
 
 from conftest import plain_search
@@ -293,22 +293,25 @@ def test_search_budget_is_enforced():
     assert ExactMatrix.identity(3).rows in search_dih_equals_det(small, require_nonzero=True)
     with pytest.raises(ResourceLimitError):
         search_dih_equals_det(replace(small, exhaustive_budget=2**9 - 1))
-    # a one-value range is a single matrix, however large the order
-    single = SearchConfig(n=3, entry_range=(2, 2), mode=SearchMode.EXHAUSTIVE, exhaustive_budget=1)
+    # a one-value range is a single matrix, however large the order; at n = 3 its walk costs 3 + 6 minor products
+    single = SearchConfig(n=3, entry_range=(2, 2), mode=SearchMode.EXHAUSTIVE, exhaustive_budget=9)
     assert search_dih_equals_det(single) == [((2, 2, 2),) * 3]
     with pytest.raises(ResourceLimitError):
         search_dih_equals_det(SearchConfig(n=3, sample_count=11, exhaustive_budget=10))
 
 
 def test_search_budget_weighs_the_order():
-    # one matrix of order 8 costs (8/4)**3 = 8 of order 4, in either mode
-    single = SearchConfig(n=8, entry_range=(2, 2), mode=SearchMode.EXHAUSTIVE, exhaustive_budget=8)
-    sampled = replace(single, mode=SearchMode.RANDOM, sample_count=1)
-    for config in (single, sampled):
-        assert search_dih_equals_det(config) == [((2,) * 8,) * 8]  # rank 1: dih = det = 0
-    for config in (single, sampled, replace(sampled, sample_count=0)):
+    # one matrix of order 8 costs (8/4)**3 = 8 of order 4 in random mode
+    sampled = SearchConfig(n=8, entry_range=(2, 2), sample_count=1, exhaustive_budget=8)
+    assert search_dih_equals_det(sampled) == [((2,) * 8,) * 8]  # rank 1: dih = det = 0
+    for config in (sampled, replace(sampled, sample_count=0)):
         with pytest.raises(ResourceLimitError, match="order 8 counts as 8 matrices of order 4"):
             search_dih_equals_det(replace(config, exhaustive_budget=7))
+    # the exhaustive walk is charged its minor products: sum of C(8, l) * l over l < 8 = 8 * 2**7 - 8
+    single = replace(sampled, mode=SearchMode.EXHAUSTIVE, exhaustive_budget=1016)
+    assert search_dih_equals_det(single) == [((2,) * 8,) * 8]
+    with pytest.raises(ResourceLimitError, match="order 8 needs more minor products than the budget of 1015"):
+        search_dih_equals_det(replace(single, exhaustive_budget=1015))
 
 
 @pytest.mark.parametrize("require_nonzero", [False, True])
@@ -322,20 +325,36 @@ def test_exhaustive_search_equals_the_plain_enumerator(n, lo, hi, require_nonzer
     assert search_dih_equals_det(config, require_nonzero) == plain_search(n, lo, hi, require_nonzero)
 
 
-def test_exhaustive_search_eliminates_per_prefix_not_per_matrix(monkeypatch):
-    calls = 0
-    kernel = analysis.echelon
+def test_exhaustive_search_runs_no_elimination(monkeypatch):
+    def refuse(m):
+        raise AssertionError("the exhaustive search called echelon")
 
-    def counted(m):
-        nonlocal calls
-        calls += 1
-        return kernel(m)
-
-    monkeypatch.setattr(analysis, "echelon", counted)
+    monkeypatch.setattr(analysis, "echelon", refuse)
     config = SearchConfig(n=4, entry_range=(1, 2), mode=SearchMode.EXHAUSTIVE)
     assert len(search_dih_equals_det(config, require_nonzero=True)) == 3136
-    # n minors per prefix of n - 1 rows: 4 * 2**12, where one per matrix is 2**16
-    assert 0 < calls <= 4 * 2 ** (4 * 3)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_laplace_carry_matches_elimination(n):
+    rng = Random(n)
+    tops = [tuple(tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(n - 1)) for _ in range(20)]
+    deficient = []
+    for top in tops[:10] if n > 1 else ():
+        # one row an integer combination of the others (a zero row at n = 2): rank below n - 1
+        k = rng.randrange(n - 1)
+        others = top[:k] + top[k + 1 :]
+        coeffs = [rng.randint(-3, 3) for _ in others]
+        combined = tuple(sum(c * row[col] for c, row in zip(coeffs, others)) for col in range(n))
+        deficient.append(top[:k] + (combined,) + top[k + 1 :])
+    for top in tops + deficient:
+        [(walked, d, c)] = analysis._last_row_coefficients([[row] for row in top])
+        assert walked == top
+        minors = [echelon([[*row[:j], *row[j + 1 :]] for row in top])[1] for j in range(n)]
+        assert c == [(-1) ** (n - 1 + j) * minor for j, minor in enumerate(minors)]
+        units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        assert d == [dihedrant(ExactMatrix(top + (unit,))) for unit in units]
+        if top in deficient:
+            assert c == [0] * n
 
 
 def test_search_hits_are_integer_rows_and_build_no_matrix(monkeypatch):
@@ -364,6 +383,14 @@ def test_search_config_validation():
         SearchConfig(n=3, entry_range=(2, 1))
     with pytest.raises(ValueError):
         SearchConfig(n=3, sample_count=-1)
+
+
+def test_negative_seeds_are_rejected():
+    # Random(-x) seeds like Random(x), so a negative seed would repeat a positive one's stream
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        SearchConfig(n=3, seed=-1)
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        run_claim("thm:AT", seed=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -280,6 +280,23 @@ def test_search_refuses_large_orders_at_once(capsys, argv):
     assert err.startswith("error: ") and f"order {argv[1]}" in err and "budget" in err
 
 
+@pytest.mark.parametrize("n", ["18", "400"])
+def test_search_charges_the_minor_products_at_once(capsys, n):
+    # a one-value range is one matrix, but its walk carries n * 2**(n-1) - n minor products
+    start = time.perf_counter()
+    code, out, err = run(capsys, "search", "--n", n, "--min", "2", "--max", "2", "--mode", "exhaustive")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err == f"error: exhaustive search at order {n} needs more minor products than the budget of 2000000\n"
+
+
+@pytest.mark.parametrize("argv", [("verify", "thm:AT", "--seed", "-1"), ("search", "--n", "3", "--seed", "-1")])
+def test_negative_seed_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: seed must be nonnegative, got -1\n"
+
+
 @pytest.mark.parametrize("flags", [(), ("--require-nonzero",)])
 def test_search_prints_the_hits_as_json(capsys, flags):
     code, out, _ = run(capsys, "search", "--n", "3", "--min", "0", "--max", "1", "--mode", "exhaustive", *flags)
