@@ -26,7 +26,7 @@ from .analysis import (
     transposition_count_reflection,
     transposition_count_rotation,
 )
-from .functionals import dihedrant, elimination_det, group_functional, leibniz_det
+from .functionals import dihedrant, elimination_det, leibniz_det
 from .matrix import ExactMatrix
 from .matrix_io import MatrixFormatError, load_matrix, parse_scalar
 from .perm import (
@@ -37,9 +37,6 @@ from .perm import (
     ResourceLimitError,
     compose,
     dihedral_group,
-    find_dihedral_element,
-    identity_perm,
-    inverse,
     mod1,
     reflection_perm,
     rotation_perm,
@@ -84,10 +81,6 @@ __all__ = [
     "dihedrant",
     "elimination_det",
     "false_sarrus_scheme",
-    "find_dihedral_element",
-    "group_functional",
-    "identity_perm",
-    "inverse",
     "leibniz_det",
     "load_matrix",
     "mod1",

@@ -22,29 +22,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
 
 from .matrix import ExactMatrix, cleared_rows, echelon, signed_product_sum
-from .perm import (
-    DEFAULT_SYMMETRIC_CAP,
-    Permutation,
-    dihedral_group,
-    sgn,
-    sig,
-    symmetric_group,
-)
-
-
-def group_functional(A: ExactMatrix, terms: Iterable[tuple[Permutation, int]]) -> Fraction:
-    """Sum of sign * prod_i A(i, sigma(i)) over the given (sigma, sign) pairs.
-
-    The sum is exact, hence independent of term order.  When every entry is
-    an integer the products run on plain ints.
-    """
-    grid = A.rows
-    if all(e.denominator == 1 for row in grid for e in row):
-        grid = [[e.numerator for e in row] for row in grid]
-    return Fraction(signed_product_sum(grid, ((p.images, sign) for p, sign in terms)))
+from .perm import dihedral_group, sgn, sig, symmetric_group
 
 
 @lru_cache(maxsize=None)
@@ -63,12 +43,16 @@ def dihedrant(A: ExactMatrix) -> Fraction:
     return Fraction(signed_product_sum(ints, dihedral_terms(A.n)), scales)
 
 
-def leibniz_det(A: ExactMatrix, cap: int = DEFAULT_SYMMETRIC_CAP) -> Fraction:
+def leibniz_det(A: ExactMatrix) -> Fraction:
     """Determinant by brute-force expansion over all of S_n.
 
-    Raises ResourceLimitError above the symmetric-group cap.
+    The products run on plain ints when every entry is an integer.  Raises
+    ResourceLimitError above the symmetric-group cap.
     """
-    return group_functional(A, ((p, sgn(p)) for p in symmetric_group(A.n, cap=cap)))
+    grid = A.rows
+    if all(e.denominator == 1 for row in grid for e in row):
+        grid = [[e.numerator for e in row] for row in grid]
+    return Fraction(signed_product_sum(grid, ((p.images, sgn(p)) for p in symmetric_group(A.n))))
 
 
 def elimination_det(A: ExactMatrix) -> Fraction:

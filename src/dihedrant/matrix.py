@@ -75,10 +75,6 @@ class ExactMatrix:
     def identity(cls, n: int) -> "ExactMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zero(cls, n: int) -> "ExactMatrix":
-        return cls([[0] * n for _ in range(n)])
-
     @property
     def n(self) -> int:
         return len(self._rows)
@@ -92,16 +88,6 @@ class ExactMatrix:
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise ValueError(f"position ({i},{j}) outside 1..{self.n}")
         return self._rows[i - 1][j - 1]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        if not 1 <= i <= self.n:
-            raise ValueError(f"row {i} outside 1..{self.n}")
-        return self._rows[i - 1]
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        if not 1 <= j <= self.n:
-            raise ValueError(f"column {j} outside 1..{self.n}")
-        return tuple(row[j - 1] for row in self._rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):

@@ -21,6 +21,8 @@ from pathlib import Path
 
 from .matrix import ExactMatrix, MatrixFormatError, as_scalar, parse_scalar
 
+_SUFFIX_FORMATS = {".json": "json", ".csv": "csv"}
+
 
 def scalar_to_obj(value: Fraction) -> int | str:
     return value.numerator if value.denominator == 1 else str(value)
@@ -58,6 +60,8 @@ def parse_matrix_json(text: str) -> ExactMatrix:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MatrixFormatError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise MatrixFormatError("invalid JSON: nesting too deep") from None
     return matrix_from_obj(obj)
 
 
@@ -92,12 +96,8 @@ def load_matrix(path: str | Path, fmt: str | None = None) -> ExactMatrix:
     """
     path = Path(path)
     if fmt is None:
-        suffix = path.suffix.lower()
-        if suffix == ".json":
-            fmt = "json"
-        elif suffix == ".csv":
-            fmt = "csv"
-        else:
+        fmt = _SUFFIX_FORMATS.get(path.suffix.lower())
+        if fmt is None:
             raise MatrixFormatError(
                 f"cannot infer format from {path.name!r}; pass --format json or csv"
             )

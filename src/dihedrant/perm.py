@@ -85,24 +85,10 @@ class DihedralElement:
     kind: DihedralKind
     index: int
 
-    def __post_init__(self) -> None:
-        n = self.perm.n
-        expected = (
-            rotation_perm(n, self.index)
-            if self.kind is DihedralKind.ROTATION
-            else reflection_perm(n, self.index)
-        )
-        if self.perm != expected:
-            raise ValueError(f"{self.name} of order {n} is {expected}, got {self.perm}")
-
     @property
     def name(self) -> str:
         prefix = "rho" if self.kind is DihedralKind.ROTATION else "mu"
         return f"{prefix}_{self.index}"
-
-
-def identity_perm(n: int) -> Permutation:
-    return Permutation(tuple(range(1, n + 1)))
 
 
 def rotation_perm(n: int, k: int) -> Permutation:
@@ -159,17 +145,18 @@ def dihedral_group(n: int) -> list[DihedralElement]:
     return list(_dihedral_elements(n))
 
 
-def symmetric_group(n: int, cap: int = DEFAULT_SYMMETRIC_CAP) -> Iterator[Permutation]:
+def symmetric_group(n: int) -> Iterator[Permutation]:
     """Yield all n! permutations of {1..n} in lexicographic order of images.
 
-    Refuses n above ``cap`` (default 10): the enumeration is meant as a
-    desk-scale oracle, not a production path.
+    Refuses n above ``DEFAULT_SYMMETRIC_CAP`` (10): the enumeration is meant
+    as a desk-scale oracle, not a production path.
     """
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
-    if n > cap:
+    if n > DEFAULT_SYMMETRIC_CAP:
         raise ResourceLimitError(
-            f"n={n} exceeds the symmetric group cap of {cap} (n! would be {math.factorial(n)})"
+            f"n={n} exceeds the symmetric group cap of {DEFAULT_SYMMETRIC_CAP}"
+            f" (n! would be {math.factorial(n)})"
         )
     for images in itertools.permutations(range(1, n + 1)):
         yield Permutation(images)
@@ -180,13 +167,6 @@ def compose(tau: Permutation, sigma: Permutation) -> Permutation:
     if tau.n != sigma.n:
         raise ValueError(f"cannot compose orders {tau.n} and {sigma.n}")
     return Permutation(tuple(tau.images[j - 1] for j in sigma.images))
-
-
-def inverse(sigma: Permutation) -> Permutation:
-    out = [0] * sigma.n
-    for i, j in enumerate(sigma.images, start=1):
-        out[j - 1] = i
-    return Permutation(tuple(out))
 
 
 def sgn(sigma: Permutation) -> int:
@@ -207,15 +187,3 @@ def sgn(sigma: Permutation) -> int:
 def sig(elem: DihedralElement) -> int:
     """+1 for rotations, -1 for reflections, independent of n and k."""
     return 1 if elem.kind is DihedralKind.ROTATION else -1
-
-
-def find_dihedral_element(sigma: Permutation) -> DihedralElement | None:
-    """Match a permutation against D_n; None if it is not a dihedral symmetry.
-
-    For n <= 2 every element of D_n doubles as rotation and reflection; the
-    rotation copy is returned.
-    """
-    for elem in _dihedral_elements(sigma.n):
-        if elem.perm == sigma:
-            return elem
-    return None

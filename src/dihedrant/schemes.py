@@ -15,6 +15,7 @@ sums sign * prod_i a[i, sigma(i)].  Two families are built here:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,9 +46,6 @@ class SignedMonomial:
     def __post_init__(self) -> None:
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-
-    def evaluate(self, A: ExactMatrix) -> Fraction:
-        return Fraction(signed_product_sum(A.rows, [(self.perm.images, self.sign)]))
 
 
 @dataclass(frozen=True)
@@ -103,19 +101,10 @@ def corrected_scheme_4x4() -> list[Scheme]:
         )
         label = "coset D4*(" + " ".join(str(v) for v in rep_images) + ")"
         schemes.append(Scheme(4, monomials, label))
-    _validate_coset_partition(schemes)
+    images = sorted(m.perm.images for scheme in schemes for m in scheme.monomials)
+    if images != list(itertools.permutations(range(1, 5))):
+        raise ValueError("coset representatives do not partition S_4")
     return schemes
-
-
-def _validate_coset_partition(schemes: list[Scheme]) -> None:
-    seen: set[tuple[int, ...]] = set()
-    for scheme in schemes:
-        images = {m.perm.images for m in scheme.monomials}
-        if len(images) != 8 or images & seen:
-            raise ValueError("coset representatives do not partition S_4")
-        seen |= images
-    if len(seen) != 24:
-        raise ValueError("coset union does not cover S_4")
 
 
 def scheme_signs_within_D4() -> list[tuple[DihedralElement, int]]:

@@ -1,6 +1,7 @@
 """CLI behavior: output, exit codes, and determinism."""
 
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -17,6 +18,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def int_digit_limit():
+    """Start the test under CPython's default 4,300-digit int/str limit; restore the old limit after."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int/str digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +98,35 @@ def test_eval_cap_exceeded_exits_three(capsys, tmp_path):
     assert code == 3 and out == "" and "cap" in err
     code, out, _ = run(capsys, "eval", str(path), "det-elim")
     assert code == 0 and out == "1\n"
+
+
+def test_eval_deeply_nested_json_exits_two(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 1500 + "]" * 1500)
+    code, out, err = run(capsys, "eval", str(path), "dih")
+    assert code == 2 and out == ""
+    assert err == "error: invalid JSON: nesting too deep\n"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("functional", ["det-elim", "dih"])
+def test_eval_prints_values_past_the_int_digit_limit(capsys, tmp_path, int_digit_limit, functional):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps([[10**2000 if i == j else 0 for j in range(3)] for i in range(3)]))
+    code, out, err = run(capsys, "eval", str(path), functional)
+    assert code == 0 and err == ""
+    sys.set_int_max_str_digits(0)
+    assert out == str(10**6000) + "\n"
+
+
+@pytest.mark.parametrize("name, template", [("wide.csv", "{},0\n0,1\n"), ("wide.json", "[[{}, 0], [0, 1]]")])
+def test_eval_reads_entries_past_the_int_digit_limit(capsys, tmp_path, int_digit_limit, name, template):
+    digits = "7" * 5001
+    path = tmp_path / name
+    path.write_text(template.format(digits))
+    code, out, err = run(capsys, "eval", str(path), "det-elim")
+    assert code == 0 and err == ""
+    assert out == digits + "\n"
 
 
 # ---------------------------------------------------------------------------

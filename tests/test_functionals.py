@@ -6,15 +6,9 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from dihedrant.functionals import dihedrant, elimination_det, group_functional, leibniz_det
+from dihedrant.functionals import dihedrant, elimination_det, leibniz_det
 from dihedrant.matrix import ExactMatrix
-from dihedrant.perm import (
-    Permutation,
-    ResourceLimitError,
-    dihedral_group,
-    identity_perm,
-    sig,
-)
+from dihedrant.perm import Permutation, ResourceLimitError, dihedral_group, sig
 
 from conftest import gauss_det, low_rank_rows, random_int_rows, random_rational_rows
 
@@ -165,12 +159,12 @@ def test_leibniz_basics():
         a, b, c, d = (rng.randint(-9, 9) for _ in range(4))
         assert leibniz_det(ExactMatrix([[a, b], [c, d]])) == a * d - b * c
     assert leibniz_det(TWOS_ONES) == 2
+    assert leibniz_det(ExactMatrix([["1/2", "1/3"], ["1/5", "1/7"]])) == Fraction(1, 14) - Fraction(1, 15)
 
 
 def test_leibniz_respects_the_cap():
-    A = ExactMatrix.identity(4)
-    with pytest.raises(ResourceLimitError):
-        leibniz_det(A, cap=3)
+    with pytest.raises(ResourceLimitError, match="cap of 10"):
+        leibniz_det(ExactMatrix.identity(11))
 
 
 # ---------------------------------------------------------------------------
@@ -226,26 +220,3 @@ def test_elimination_det_matches_plain_gauss_above_the_oracle_cap(n):
         assert elimination_det(ExactMatrix(rows)) == gauss_det(rows)
     assert gauss_det(rational) != 0 and gauss_det(singular) == 0
 
-
-# ---------------------------------------------------------------------------
-# the shared kernel
-
-def test_group_functional_edge_cases():
-    A = ExactMatrix([[2, 5], [7, 3]])
-    assert group_functional(A, []) == 0
-    assert group_functional(A, [(identity_perm(2), 1)]) == 6
-
-
-def test_group_functional_reproduces_dihedrant():
-    terms = [(e.perm, sig(e)) for e in dihedral_group(4)]
-    assert group_functional(MINUS15, terms) == -15
-
-
-def test_group_functional_rejects_order_mismatch():
-    with pytest.raises(ValueError):
-        group_functional(ExactMatrix.identity(3), [(identity_perm(4), 1)])
-
-
-def test_group_functional_exact_on_rational_entries():
-    A = ExactMatrix([["1/2", "1/3"], ["1/5", "1/7"]])
-    assert leibniz_det(A) == Fraction(1, 14) - Fraction(1, 15)

@@ -1,4 +1,4 @@
-"""Exact matrices: structure operations and rank."""
+"""Exact matrices: structure operations, rank, and the signed-product kernel."""
 
 from decimal import Decimal
 from fractions import Fraction
@@ -6,8 +6,15 @@ from random import Random
 
 import pytest
 
-from dihedrant.matrix import ExactMatrix, MatrixFormatError, as_scalar, echelon, parse_scalar
-from dihedrant.perm import Permutation, identity_perm, inverse
+from dihedrant.matrix import (
+    ExactMatrix,
+    MatrixFormatError,
+    as_scalar,
+    echelon,
+    parse_scalar,
+    signed_product_sum,
+)
+from dihedrant.perm import Permutation, compose, dihedral_group, rotation_perm, sig
 
 from conftest import gauss_rank, low_rank_rows, random_int_rows, random_rational_rows
 
@@ -63,8 +70,8 @@ def test_constructor_requires_square():
 def test_entry_access_is_one_based():
     A = ExactMatrix([[1, 2], [3, 4]])
     assert A.entry(1, 2) == 2
-    assert A.row(2) == (3, 4)
-    assert A.column(1) == (1, 3)
+    assert A.rows[1] == (3, 4)
+    assert A.transpose().rows[0] == (1, 3)
     with pytest.raises(ValueError):
         A.entry(0, 1)
     with pytest.raises(ValueError):
@@ -108,7 +115,7 @@ def test_permute_columns_swap_on_identity():
 def test_permute_by_identity_is_noop():
     rng = Random(3)
     A = ExactMatrix(random_int_rows(rng, 4))
-    e = identity_perm(4)
+    e = rotation_perm(4, 1)
     assert A.permute_columns(e) == A
     assert A.permute_rows(e) == A
 
@@ -121,8 +128,10 @@ def test_permute_columns_then_inverse_restores():
         images = list(range(1, n + 1))
         rng.shuffle(images)
         sigma = Permutation(tuple(images))
-        assert A.permute_columns(sigma).permute_columns(inverse(sigma)) == A
-        assert A.permute_rows(sigma).permute_rows(inverse(sigma)) == A
+        inverse = Permutation(tuple(images.index(i) + 1 for i in range(1, n + 1)))
+        assert compose(sigma, inverse) == rotation_perm(n, 1)
+        assert A.permute_columns(sigma).permute_columns(inverse) == A
+        assert A.permute_rows(sigma).permute_rows(inverse) == A
 
 
 def test_permute_rows_of_identity_is_permutation_matrix():
@@ -146,9 +155,9 @@ def test_row_permutation_transposes_to_column_permutation():
 def test_permute_size_mismatch():
     A = ExactMatrix.identity(3)
     with pytest.raises(ValueError):
-        A.permute_columns(identity_perm(4))
+        A.permute_columns(rotation_perm(4, 1))
     with pytest.raises(ValueError):
-        A.permute_rows(identity_perm(2))
+        A.permute_rows(rotation_perm(2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -160,15 +169,15 @@ def test_linear_combination_row_identity_cases():
     b = (9, 9, 9, 9)
     assert A.linear_combination_row(2, 1, 0, b) == A
     replaced = A.linear_combination_row(2, 0, 1, b)
-    assert replaced.row(2) == tuple(Fraction(9) for _ in range(4))
-    assert replaced.row(1) == A.row(1)
+    assert replaced.rows[1] == tuple(Fraction(9) for _ in range(4))
+    assert replaced.rows[0] == A.rows[0]
 
 
 def test_linear_combination_row_combines_exactly():
     A = ExactMatrix([[1, 2], [3, 4]])
     out = A.linear_combination_row(1, Fraction(1, 2), 3, (1, -1))
-    assert out.row(1) == (Fraction(7, 2), Fraction(-2))
-    assert out.row(2) == (3, 4)
+    assert out.rows[0] == (Fraction(7, 2), Fraction(-2))
+    assert out.rows[1] == (3, 4)
 
 
 def test_linear_combination_row_errors():
@@ -183,7 +192,7 @@ def test_linear_combination_row_errors():
 # rank
 
 def test_rank_examples():
-    assert ExactMatrix.zero(4).rank() == 0
+    assert ExactMatrix([[0] * 4] * 4).rank() == 0
     assert ExactMatrix.identity(5).rank() == 5
     assert ExactMatrix([[1, 2, 3, 4], [1, 2, 3, 4], [1, 0, 0, 0], [0, 0, 0, 1]]).rank() == 3
 
@@ -246,3 +255,30 @@ def test_rank_invariances():
         sigma = Permutation(tuple(images))
         assert A.permute_rows(sigma).rank() == A.rank()
         assert A.permute_columns(sigma).rank() == A.rank()
+
+
+# ---------------------------------------------------------------------------
+# the signed-product kernel
+
+def test_signed_product_sum_edge_cases():
+    rows = [[2, 5], [7, 3]]
+    assert signed_product_sum(rows, []) == 0
+    assert signed_product_sum(rows, [((1, 2), 1)]) == 6
+    assert signed_product_sum(rows, [((1, 2), 1), ((2, 1), -1)]) == 6 - 35
+
+
+def test_signed_product_sum_reproduces_dihedrant():
+    terms = [(e.perm.images, sig(e)) for e in dihedral_group(4)]
+    assert signed_product_sum(MINUS15_ROWS, terms) == -15
+
+
+def test_signed_product_sum_rejects_order_mismatch():
+    with pytest.raises(ValueError):
+        signed_product_sum(ExactMatrix.identity(3).rows, [((1, 2, 3, 4), 1)])
+
+
+def test_signed_product_sum_exact_on_rational_entries():
+    rows = ExactMatrix([["1/2", "1/3"], ["1/5", "1/7"]]).rows
+    value = signed_product_sum(rows, [((1, 2), 1), ((2, 1), -1)])
+    assert type(value) is Fraction
+    assert value == Fraction(1, 14) - Fraction(1, 15)

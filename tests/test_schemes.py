@@ -7,6 +7,7 @@ import pytest
 
 from dihedrant.functionals import dihedrant, leibniz_det
 from dihedrant.matrix import ExactMatrix
+from dihedrant import schemes
 from dihedrant.perm import Permutation, sgn, sig
 from dihedrant.schemes import (
     Scheme,
@@ -25,11 +26,11 @@ MINUS15 = ExactMatrix([[1, 0, 0, -1], [1, -3, 0, -3], [1, 1, 5, 5], [0, 0, 0, 1]
 
 def test_monomial_evaluation_and_validation():
     m = SignedMonomial(Permutation((2, 1)), -1)
-    assert m.evaluate(ExactMatrix([[1, 2], [3, 4]])) == -6
+    assert Scheme(2, (m,), "one term").evaluate(ExactMatrix([[1, 2], [3, 4]])) == -6
     with pytest.raises(ValueError):
         SignedMonomial(Permutation((1, 2)), 2)
     with pytest.raises(ValueError):
-        m.evaluate(ExactMatrix.identity(3))
+        Scheme(3, (m,), "wrong order")
 
 
 def test_scheme_rejects_duplicate_monomials():
@@ -99,6 +100,13 @@ def test_corrected_scheme_partitions_s4():
     for scheme in schemes:
         for m in scheme.monomials:
             assert m.sign == sgn(m.perm)
+
+
+def test_corrected_scheme_rejects_representatives_that_do_not_partition_s4(monkeypatch):
+    # (2 3 4 1) is a rotation, so its coset repeats the identity's
+    monkeypatch.setattr(schemes, "_COSET_REPRESENTATIVES_4", ((1, 2, 3, 4), (2, 3, 4, 1), (1, 3, 2, 4)))
+    with pytest.raises(ValueError, match="partition"):
+        corrected_scheme_4x4()
 
 
 def test_corrected_scheme_first_block_is_the_band_coset():
