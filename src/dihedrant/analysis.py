@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from random import Random
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from .functionals import dihedral_terms, dihedrant, elimination_det, leibniz_det
 from .matrix import ExactMatrix, echelon, signed_product_sum
@@ -56,6 +56,8 @@ from .perm import (
 )
 from .schemes import corrected_scheme_4x4, scheme_signs_within_D4
 
+T = TypeVar("T")
+
 
 class SearchMode(Enum):
     RANDOM = "random"
@@ -64,14 +66,13 @@ class SearchMode(Enum):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """The space, sampling plan and budget of one search for dih == det."""
+    """The space and sampling plan of one search for dih == det."""
 
     n: int
     entry_range: tuple[int, int] = (-9, 9)
     sample_count: int = 200
     seed: int = 0
     mode: SearchMode = SearchMode.RANDOM
-    exhaustive_budget: int = 2_000_000  # most order-4 matrices, and minor products, one search may spend
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -83,8 +84,6 @@ class SearchConfig:
             raise ValueError("sample_count must be nonnegative")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.exhaustive_budget < 1:
-            raise ValueError("exhaustive_budget must be positive")
 
 
 @dataclass(frozen=True)
@@ -112,29 +111,26 @@ class TheoremReport:
         return "\n".join(lines)
 
 
-class _Tally:
-    """Accumulates trial outcomes and the first failing matrix."""
-
-    def __init__(self, claim_id: str):
-        self.claim_id = claim_id
-        self.trials = 0
-        self.failures = 0
-        self.witness: str | None = None
-
-    def record(self, ok: bool, A: ExactMatrix) -> None:
-        self.trials += 1
-        if not ok:
-            self.failures += 1
-            if self.witness is None:
-                self.witness = matrix_to_json(A)
-
-    def report(self, observation: str | None = None) -> TheoremReport:
-        return TheoremReport(self.claim_id, self.trials, self.failures, self.witness, observation)
+def _report(
+    claim_id: str, outcomes: Iterable[tuple[bool, T]], describe: Callable[[T], str] = matrix_to_json
+) -> TheoremReport:
+    """Count the (holds, case) outcomes; the first failing case, described, is the witness."""
+    trials = failures = 0
+    witness = None
+    for holds, case in outcomes:
+        trials += 1
+        if not holds:
+            failures += 1
+            if witness is None:
+                witness = describe(case)
+    return TheoremReport(claim_id, trials, failures, witness)
 
 
-def _rng_for(seed: int, index: int) -> Random:
-    # one child stream per sample index, so scheduling cannot reorder draws
-    return Random((seed << 32) + index)
+def _draws(seed: int, trials: int, draw: Callable[[Random], T], offset: int = 0) -> Iterator[T]:
+    """draw(rng) on the streams of indices offset .. offset + trials - 1, lazily."""
+    for index in range(offset, offset + trials):
+        # one child stream per sample index, so scheduling cannot reorder draws
+        yield draw(Random((seed << 32) + index))
 
 
 def _random_matrix(rng: Random, n: int, lo: int = -5, hi: int = 5) -> ExactMatrix:
@@ -206,33 +202,25 @@ def classify_signs(n: int) -> list[SignRow]:
 
 
 def check_sign_formulas(max_n: int = 12) -> TheoremReport:
-    trials = failures = 0
-    witness = None
     cases = (
         ("rotation", transposition_count_rotation, rotation_perm),
         ("reflection", transposition_count_reflection, reflection_perm),
     )
-    for n in range(1, max_n + 1):
-        for k in range(1, n + 1):
-            for kind, count_of, perm_of in cases:
-                trials += 1
-                if (-1) ** count_of(n, k) != sgn(perm_of(n, k)):
-                    failures += 1
-                    if witness is None:
-                        witness = json.dumps({"kind": kind, "n": n, "k": k})
-    return TheoremReport("lem:signs", trials, failures, witness)
+    outcomes = (
+        ((-1) ** count_of(n, k) == sgn(perm_of(n, k)), {"kind": kind, "n": n, "k": k})
+        for n in range(1, max_n + 1)
+        for k in range(1, n + 1)
+        for kind, count_of, perm_of in cases
+    )
+    return _report("lem:signs", outcomes, json.dumps)
 
 
 # ---------------------------------------------------------------------------
 # identity suites
 
 def check_transpose_invariance(seed: int = 0, trials: int = 200) -> TheoremReport:
-    tally = _Tally("thm:AT")
-    for idx in range(trials):
-        rng = _rng_for(seed, idx)
-        A = _random_matrix(rng, rng.randint(1, 8))
-        tally.record(dihedrant(A.transpose()) == dihedrant(A), A)
-    return tally.report()
+    samples = _draws(seed, trials, lambda rng: _random_matrix(rng, rng.randint(1, 8)))
+    return _report("thm:AT", ((dihedrant(A.transpose()) == dihedrant(A), A) for A in samples))
 
 
 def check_dihedral_permutation(seed: int = 0, trials: int = 200) -> TheoremReport:
@@ -241,19 +229,18 @@ def check_dihedral_permutation(seed: int = 0, trials: int = 200) -> TheoremRepor
     Random (matrix, element) pairs first, then every element of D_n for
     n = 4..7 against a fixed random matrix per order.
     """
-    tally = _Tally("thm:perm")
-    for idx in range(trials):
-        rng = _rng_for(seed, idx)
+    def trial(rng: Random) -> tuple[bool, ExactMatrix]:
         n = rng.randint(3, 7)
         A = _random_matrix(rng, n)
-        elem = rng.choice(dihedral_group(n))
-        tally.record(_perm_trial(A, elem), A)
-    for n in range(4, 8):
-        rng = _rng_for(seed, 10_000 + n)
-        A = _random_matrix(rng, n)
-        for elem in dihedral_group(n):
-            tally.record(_perm_trial(A, elem), A)
-    return tally.report()
+        return _perm_trial(A, rng.choice(dihedral_group(n))), A
+
+    every_element = (
+        (_perm_trial(A, elem), A)
+        for n in range(4, 8)
+        for A in _draws(seed, 1, lambda rng: _random_matrix(rng, n), 10_000 + n)
+        for elem in dihedral_group(n)
+    )
+    return _report("thm:perm", itertools.chain(_draws(seed, trials, trial), every_element))
 
 
 def _perm_trial(A: ExactMatrix, elem: DihedralElement) -> bool:
@@ -265,9 +252,7 @@ def _perm_trial(A: ExactMatrix, elem: DihedralElement) -> bool:
 
 
 def check_multilinearity(seed: int = 0, trials: int = 200) -> TheoremReport:
-    tally = _Tally("thm:linear")
-    for idx in range(trials):
-        rng = _rng_for(seed, idx)
+    def trial(rng: Random) -> tuple[bool, ExactMatrix]:
         n = rng.randint(2, 6)
         A = _random_matrix(rng, n)
         j = rng.randint(1, n)
@@ -276,9 +261,9 @@ def check_multilinearity(seed: int = 0, trials: int = 200) -> TheoremReport:
         b = _random_vector(rng, n)
         combined = A.linear_combination_row(j, alpha, beta, b)
         replaced = A.linear_combination_row(j, 0, 1, b)
-        ok = dihedrant(combined) == alpha * dihedrant(A) + beta * dihedrant(replaced)
-        tally.record(ok, A)
-    return tally.report()
+        return dihedrant(combined) == alpha * dihedrant(A) + beta * dihedrant(replaced), A
+
+    return _report("thm:linear", _draws(seed, trials, trial))
 
 
 # ---------------------------------------------------------------------------
@@ -308,34 +293,26 @@ def _rank_le2_matrix(rng: Random, n: int) -> ExactMatrix:
     return ExactMatrix(rows)
 
 
+def _dih_vanishes(claim_id: str, samples: Iterable[ExactMatrix]) -> TheoremReport:
+    return _report(claim_id, ((dihedrant(A) == 0, A) for A in samples))
+
+
 def check_rank_one(seed: int = 0, trials: int = 200) -> TheoremReport:
-    tally = _Tally("thm:rank1")
-    for idx in range(trials):
-        rng = _rng_for(seed, idx)
-        A = _rank_one_matrix(rng, rng.randint(3, 6))
-        tally.record(dihedrant(A) == 0, A)
-    return tally.report()
+    samples = _draws(seed, trials, lambda rng: _rank_one_matrix(rng, rng.randint(3, 6)))
+    return _dih_vanishes("thm:rank1", samples)
 
 
 def check_equal_rows(seed: int = 0, trials: int = 200, odd_rows: int = 1) -> TheoremReport:
     if odd_rows not in (1, 2):
         raise ValueError("odd_rows must be 1 or 2")
-    tally = _Tally(f"thm:rows{odd_rows}")
     lo = 3 if odd_rows == 1 else 4
-    for idx in range(trials):
-        rng = _rng_for(seed, idx)
-        A = _equal_rows_matrix(rng, rng.randint(lo, 7), odd_rows)
-        tally.record(dihedrant(A) == 0, A)
-    return tally.report()
+    samples = _draws(seed, trials, lambda rng: _equal_rows_matrix(rng, rng.randint(lo, 7), odd_rows))
+    return _dih_vanishes(f"thm:rows{odd_rows}", samples)
 
 
 def check_rank_two_small(seed: int = 0, trials: int = 200) -> TheoremReport:
-    tally = _Tally("cor:rank2")
-    for idx in range(trials):
-        rng = _rng_for(seed, idx)
-        A = _rank_le2_matrix(rng, rng.choice((4, 5)))
-        tally.record(A.rank() <= 2 and dihedrant(A) == 0, A)
-    return tally.report()
+    samples = _draws(seed, trials, lambda rng: _rank_le2_matrix(rng, rng.choice((4, 5))))
+    return _report("cor:rank2", ((A.rank() <= 2 and dihedrant(A) == 0, A) for A in samples))
 
 
 # ---------------------------------------------------------------------------
@@ -366,23 +343,22 @@ def check_antitriangular(n: int, trials: int = 100, seed: int = 0) -> TheoremRep
     """
     if n < 3:
         raise ValueError("anti-triangular checks need n >= 3")
-    tally = _Tally(f"thm:antitri:n={n}")
     det_sign = 1 if n % 4 in (0, 1) else -1
-    for idx in range(trials):
-        rng = _rng_for(seed, idx)
-        A = _anti_triangular_matrix(rng, n)
+
+    def holds(A: ExactMatrix) -> bool:
         product = Fraction(1)
         for i in range(1, n + 1):
             product *= A.entry(i, n - i + 1)
         dih = dihedrant(A)
         det = elimination_det(A)
-        ok = (
+        return (
             dih == -product
             and det == det_sign * product
             and (dih == det) == (n % 4 in (2, 3))
         )
-        tally.record(ok, A)
-    return tally.report()
+
+    samples = _draws(seed, trials, lambda rng: _anti_triangular_matrix(rng, n))
+    return _report(f"thm:antitri:n={n}", ((holds(A), A) for A in samples))
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +391,8 @@ def check_corner_pattern(n: int, trials: int = 200, seed: int = 0) -> TheoremRep
     observation, not failures: the report always carries failures == 0 and
     the per-order tally in ``observation``.
     """
-    held = 0
-    for idx in range(trials):
-        A = _corner_pattern_matrix(_rng_for(seed, idx), n)
-        held += dihedrant(A) == elimination_det(A)
+    samples = _draws(seed, trials, lambda rng: _corner_pattern_matrix(rng, n))
+    held = sum(dihedrant(A) == elimination_det(A) for A in samples)
     return TheoremReport(f"ex:corner:n={n}", trials, 0, None, _corner_note(held, trials))
 
 
@@ -429,50 +403,39 @@ def _corner_note(held: int, samples: int) -> str:
 # ---------------------------------------------------------------------------
 # equality suites and oracles
 
+def _by_order(seed: int, trials: int, orders: Iterable[int]) -> Iterator[ExactMatrix]:
+    """trials matrices with entries in [-9, 9] at each order n, on the streams from n * 1_000_000."""
+    for n in orders:
+        yield from _draws(seed, trials, lambda rng: _random_matrix(rng, n, -9, 9), n * 1_000_000)
+
+
 def check_degenerate_orders(seed: int = 0, trials: int = 500) -> TheoremReport:
-    tally = _Tally("eq:degenerate")
-    for n in (1, 2):
-        for idx in range(trials):
-            rng = _rng_for(seed, n * 1_000_000 + idx)
-            A = _random_matrix(rng, n, -9, 9)
-            tally.record(dihedrant(A) == 0, A)
-    return tally.report()
+    return _dih_vanishes("eq:degenerate", _by_order(seed, trials, (1, 2)))
 
 
 def check_order3_equality(seed: int = 0, trials: int = 10_000) -> TheoremReport:
-    tally = _Tally("eq:n3")
-    for idx in range(trials):
-        rng = _rng_for(seed, idx)
-        A = _random_matrix(rng, 3, -9, 9)
-        tally.record(dihedrant(A) == leibniz_det(A), A)
-    return tally.report()
+    samples = _draws(seed, trials, lambda rng: _random_matrix(rng, 3, -9, 9))
+    return _report("eq:n3", ((dihedrant(A) == leibniz_det(A), A) for A in samples))
 
 
 def check_oracle_agreement(seed: int = 0, trials: int = 200) -> TheoremReport:
-    tally = _Tally("oracle:elim")
-    for n in range(1, 7):
-        for idx in range(trials):
-            rng = _rng_for(seed, n * 1_000_000 + idx)
-            A = _random_matrix(rng, n, -9, 9)
-            tally.record(elimination_det(A) == leibniz_det(A), A)
-    return tally.report()
+    samples = _by_order(seed, trials, range(1, 7))
+    return _report("oracle:elim", ((elimination_det(A) == leibniz_det(A), A) for A in samples))
 
 
 def check_corrected_scheme(seed: int = 0, trials: int = 500) -> TheoremReport:
     """Partition of S_4, per-element parity disagreements, and det agreement."""
-    tally = _Tally("scheme:4x4")
     schemes = corrected_scheme_4x4()  # raises if the partition breaks
     perms = {m.perm.images for s in schemes for m in s.monomials}
-    identity = ExactMatrix.identity(4)
-    tally.record(len(perms) == 24 and all(len(s.monomials) == 8 for s in schemes), identity)
     disagreements = sum(1 for elem, parity in scheme_signs_within_D4() if parity != sig(elem))
-    tally.record(disagreements == 4, identity)
-    for idx in range(trials):
-        rng = _rng_for(seed, idx)
-        A = _random_matrix(rng, 4, -9, 9)
-        total = sum((s.evaluate(A) for s in schemes), Fraction(0))
-        tally.record(total == leibniz_det(A), A)
-    return tally.report()
+    identity = ExactMatrix.identity(4)
+    structural = [
+        (len(perms) == 24 and all(len(s.monomials) == 8 for s in schemes), identity),
+        (disagreements == 4, identity),
+    ]
+    samples = _draws(seed, trials, lambda rng: _random_matrix(rng, 4, -9, 9))
+    sampled = ((sum((s.evaluate(A) for s in schemes), Fraction(0)) == leibniz_det(A), A) for A in samples)
+    return _report("scheme:4x4", itertools.chain(structural, sampled))
 
 
 # ---------------------------------------------------------------------------
@@ -509,29 +472,20 @@ RANK3_4X4_MATRIX = ExactMatrix([
 ])
 
 
-def identity_with_first_columns_swapped(n: int) -> ExactMatrix:
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for row in rows:
-        row[0], row[1] = row[1], row[0]
-    return ExactMatrix(rows)
-
-
 def check_counterexample_ledger() -> TheoremReport:
     """The recorded matrices reproduce their recorded values exactly."""
-    tally = _Tally("fixtures:ledger")
-    A = MINUS15_MATRIX
-    tally.record(dihedrant(A) == -15 and leibniz_det(A) == -15, A)
-    A = TWOS_ONES_MATRIX
-    tally.record(dihedrant(A) == 2 and leibniz_det(A) == 2, A)
-    A = RANK2_6X6_MATRIX
-    tally.record(dihedrant(A) == 1 and A.rank() == 2 and leibniz_det(A) == 0, A)
-    A = RANK3_4X4_MATRIX
-    tally.record(dihedrant(A) == -6 and leibniz_det(A) == 0 and A.rank() == 3, A)
-    identity = ExactMatrix.identity(4)
-    tally.record(dihedrant(identity) == 1 and leibniz_det(identity) == 1, identity)
-    swapped = identity_with_first_columns_swapped(4)
-    tally.record(dihedrant(swapped) == 0 and leibniz_det(swapped) == -1, swapped)
-    return tally.report()
+    ledger = (  # matrix, dih, det, and the rank where one is recorded
+        (MINUS15_MATRIX, -15, -15, None),
+        (TWOS_ONES_MATRIX, 2, 2, None),
+        (RANK2_6X6_MATRIX, 1, 0, 2),
+        (RANK3_4X4_MATRIX, -6, 0, 3),
+        (ExactMatrix.identity(4), 1, 1, None),
+        (ExactMatrix([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]), 0, -1, None),
+    )
+    return _report("fixtures:ledger", (
+        (dihedrant(A) == dih and leibniz_det(A) == det and (rank is None or A.rank() == rank), A)
+        for A, dih, det, rank in ledger
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -563,10 +517,8 @@ def rank2_multilinear_expansion(
     return terms
 
 
-def check_rank2_expansion(seed: int = 0, sizes: tuple[int, ...] = (4, 5, 6)) -> TheoremReport:
-    tally = _Tally("ex:expansion")
-    for n in sizes:
-        rng = _rng_for(seed, n)
+def check_rank2_expansion(seed: int = 0) -> TheoremReport:
+    def trial(rng: Random, n: int) -> tuple[bool, ExactMatrix]:
         a = _nonzero_vector(rng, n)
         b = _nonzero_vector(rng, n)
         alphas = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
@@ -579,14 +531,19 @@ def check_rank2_expansion(seed: int = 0, sizes: tuple[int, ...] = (4, 5, 6)) -> 
         ok = len(terms) == 2**n and total == dihedrant(full)
         if n in (4, 5):
             ok = ok and all(dihedrant(M) == 0 for _, M in terms)
-        tally.record(ok, full)
-    return tally.report()
+        return ok, full
+
+    return _report("ex:expansion", (
+        outcome for n in (4, 5, 6) for outcome in _draws(seed, 1, lambda rng: trial(rng, n), n)
+    ))
 
 
 # ---------------------------------------------------------------------------
 # search for dih == det
 
 IntRows = tuple[tuple[int, ...], ...]  # one search hit: the rows of an integer matrix
+
+SEARCH_BUDGET = 2_000_000  # most order-4 matrices, and minor products, one search may spend
 
 
 def search_dih_equals_det(config: SearchConfig, require_nonzero: bool = False) -> list[IntRows]:
@@ -609,13 +566,13 @@ def search_dih_equals_det(config: SearchConfig, require_nonzero: bool = False) -
     (summing to d): sum over l < n of base**(n*l) * C(n, l) * l minor
     products in all, then about 2 * base**(n/2) dot products per prefix.
 
-    Before any work the search is weighed against ``exhaustive_budget``:
+    Before any work the search is weighed against ``SEARCH_BUDGET``:
     the matrices, each of order n counting as max(n, 4)**3 / 4**3 of order
     4 (a search as at least one), then in exhaustive mode the minor products.
     """
     n = config.n
     lo, hi = config.entry_range
-    budget = config.exhaustive_budget
+    budget = SEARCH_BUDGET
     exhaustive = config.mode is SearchMode.EXHAUSTIVE
     if exhaustive:
         base = hi - lo + 1
@@ -625,10 +582,6 @@ def search_dih_equals_det(config: SearchConfig, require_nonzero: bool = False) -
                 f"exhaustive space of {base}^{n * n} matrices exceeds the budget of {budget}"
             )
         matrices = base ** (n * n)
-    elif config.sample_count > budget:
-        raise ResourceLimitError(
-            f"{config.sample_count} random samples exceed the budget of {budget}"
-        )
     else:
         matrices = config.sample_count
     # one elimination per matrix: order n costs (n/4)**3 of order 4
@@ -645,9 +598,9 @@ def search_dih_equals_det(config: SearchConfig, require_nonzero: bool = False) -
                 f"exhaustive search at order {n} needs more minor products than the budget of {budget}"
             )
         return _exhaustive_hits(n, range(lo, hi + 1), require_nonzero)
-    samples = (
-        tuple(tuple(rng.randint(lo, hi) for _ in range(n)) for _ in range(n))
-        for rng in (_rng_for(config.seed, i) for i in range(config.sample_count))
+    samples = _draws(
+        config.seed, config.sample_count,
+        lambda rng: tuple(tuple(rng.randint(lo, hi) for _ in range(n)) for _ in range(n)),
     )
     terms = dihedral_terms(n)
     hits = []
@@ -724,7 +677,6 @@ def _last_row_coefficients(
 
 class Claim(NamedTuple):
     claim_id: str
-    description: str
     run: Callable[[int, int], list[TheoremReport]]
 
 
@@ -744,38 +696,22 @@ def _corner_runner(seed: int, trials: int) -> list[TheoremReport]:
 CLAIMS: dict[str, Claim] = {
     claim.claim_id: claim
     for claim in (
-        Claim("fixtures:ledger", "known matrices reproduce their recorded values",
-              lambda seed, trials: [check_counterexample_ledger()]),
-        Claim("eq:degenerate", "dih == 0 at orders 1 and 2",
-              lambda seed, trials: [check_degenerate_orders(seed, trials)]),
-        Claim("eq:n3", "dih == det at order 3",
-              lambda seed, trials: [check_order3_equality(seed, trials)]),
-        Claim("thm:AT", "dih is invariant under transposition",
-              lambda seed, trials: [check_transpose_invariance(seed, trials)]),
-        Claim("thm:perm", "dihedral column/row permutations scale dih by sig",
-              lambda seed, trials: [check_dihedral_permutation(seed, trials)]),
-        Claim("thm:linear", "dih is linear in each row",
-              lambda seed, trials: [check_multilinearity(seed, trials)]),
-        Claim("thm:rank1", "rank-1 matrices have dih == 0",
-              lambda seed, trials: [check_rank_one(seed, trials)]),
-        Claim("thm:rows1", "n-1 identical rows force dih == 0",
-              lambda seed, trials: [check_equal_rows(seed, trials, odd_rows=1)]),
-        Claim("thm:rows2", "(n-2, 2) identical-row split forces dih == 0",
-              lambda seed, trials: [check_equal_rows(seed, trials, odd_rows=2)]),
-        Claim("cor:rank2", "rank <= 2 forces dih == 0 at orders 4 and 5",
-              lambda seed, trials: [check_rank_two_small(seed, trials)]),
-        Claim("lem:signs", "transposition-count formulas match cycle parity, n <= 12",
-              lambda seed, trials: [check_sign_formulas()]),
-        Claim("thm:antitri", "anti-triangular: dih == -(anti-diagonal product)",
-              _antitri_runner),
-        Claim("scheme:4x4", "three-coset scheme partitions S_4 and sums to det",
-              lambda seed, trials: [check_corrected_scheme(seed, trials)]),
-        Claim("oracle:elim", "elimination det agrees with the expansion oracle",
-              lambda seed, trials: [check_oracle_agreement(seed, trials)]),
-        Claim("ex:expansion", "rank-2 expansion has exactly 2^n terms",
-              lambda seed, trials: [check_rank2_expansion(seed)]),
-        Claim("ex:corner", "corner pattern, dih == det tallied per order (empirical)",
-              _corner_runner),
+        Claim("fixtures:ledger", lambda seed, trials: [check_counterexample_ledger()]),
+        Claim("eq:degenerate", lambda seed, trials: [check_degenerate_orders(seed, trials)]),
+        Claim("eq:n3", lambda seed, trials: [check_order3_equality(seed, trials)]),
+        Claim("thm:AT", lambda seed, trials: [check_transpose_invariance(seed, trials)]),
+        Claim("thm:perm", lambda seed, trials: [check_dihedral_permutation(seed, trials)]),
+        Claim("thm:linear", lambda seed, trials: [check_multilinearity(seed, trials)]),
+        Claim("thm:rank1", lambda seed, trials: [check_rank_one(seed, trials)]),
+        Claim("thm:rows1", lambda seed, trials: [check_equal_rows(seed, trials, odd_rows=1)]),
+        Claim("thm:rows2", lambda seed, trials: [check_equal_rows(seed, trials, odd_rows=2)]),
+        Claim("cor:rank2", lambda seed, trials: [check_rank_two_small(seed, trials)]),
+        Claim("lem:signs", lambda seed, trials: [check_sign_formulas()]),
+        Claim("thm:antitri", _antitri_runner),
+        Claim("scheme:4x4", lambda seed, trials: [check_corrected_scheme(seed, trials)]),
+        Claim("oracle:elim", lambda seed, trials: [check_oracle_agreement(seed, trials)]),
+        Claim("ex:expansion", lambda seed, trials: [check_rank2_expansion(seed)]),
+        Claim("ex:corner", _corner_runner),
     )
 }
 

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 
@@ -33,6 +34,7 @@ MAX_TABLE_ORDER = 256
 def main(argv: list[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):  # exact values may run past 4,300 digits
         sys.set_int_max_str_digits(0)
+    csv.field_size_limit(2**31 - 1)  # and CSV cells past 131,072 characters, as JSON entries may
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

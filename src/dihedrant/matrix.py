@@ -19,12 +19,15 @@ from __future__ import annotations
 
 import math
 import re
+import reprlib
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .perm import Permutation
 
 _ENTRY_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_brief = reprlib.Repr()  # quotes rejected values in error messages, cut to a few hundred characters
+_brief.maxlevel = 1
 
 
 class MatrixFormatError(ValueError):
@@ -35,11 +38,11 @@ def parse_scalar(text: str) -> Fraction:
     """Parse an ASCII integer or 'p/q' string, surrounding whitespace allowed; reject the rest."""
     value = text.strip()
     if not _ENTRY_RE.fullmatch(value):
-        raise MatrixFormatError(f"not an integer or p/q value: {text!r}")
+        raise MatrixFormatError(f"not an integer or p/q value: {_brief.repr(text)}")
     try:
         return Fraction(value)
     except ZeroDivisionError:
-        raise MatrixFormatError(f"zero denominator: {text!r}") from None
+        raise MatrixFormatError(f"zero denominator: {_brief.repr(text)}") from None
 
 
 def as_scalar(value) -> Fraction:
@@ -53,7 +56,7 @@ def as_scalar(value) -> Fraction:
         return parse_scalar(value)
     if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return Fraction(value)
-    raise ValueError(f"entries must be exact (int, Fraction, or 'p/q'), got {value!r}")
+    raise ValueError(f"entries must be exact (int, Fraction, or 'p/q'), got {_brief.repr(value)}")
 
 
 class ExactMatrix:

@@ -66,8 +66,12 @@ def parse_matrix_json(text: str) -> ExactMatrix:
 
 
 def parse_matrix_csv(text: str) -> ExactMatrix:
+    try:
+        records = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise MatrixFormatError(f"invalid CSV: {exc}") from None
     rows = []
-    for i, cells in enumerate(csv.reader(io.StringIO(text)), start=1):
+    for i, cells in enumerate(records, start=1):
         if not cells:
             continue
         row = []

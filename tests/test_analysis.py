@@ -39,6 +39,7 @@ from dihedrant.analysis import (
 )
 from dihedrant.functionals import dihedrant, leibniz_det
 from dihedrant.matrix import ExactMatrix, echelon
+from dihedrant.matrix_io import matrix_to_json
 from dihedrant.perm import ResourceLimitError, reflection_perm, rotation_perm, sgn
 
 from conftest import plain_search
@@ -84,6 +85,14 @@ def test_check_sign_formulas_covers_all_cases():
     assert report.claim_id == "lem:signs"
     assert report.trials == 156  # 78 rotations + 78 reflections for n <= 12
     assert report.failures == 0
+
+
+def test_check_sign_formulas_reports_every_failure_and_the_first_case(monkeypatch):
+    shifted = transposition_count_rotation
+    monkeypatch.setattr(analysis, "transposition_count_rotation", lambda n, k: shifted(n, k) + 1)
+    report = check_sign_formulas()
+    assert (report.trials, report.failures) == (156, 78)  # every rotation, no reflection
+    assert report.witness == '{"kind": "rotation", "n": 1, "k": 1}'
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +146,20 @@ def test_rank_suites_pass():
     assert check_equal_rows(seed=2, trials=100, odd_rows=1).failures == 0
     assert check_equal_rows(seed=2, trials=100, odd_rows=2).failures == 0
     assert check_rank_two_small(seed=2, trials=100).failures == 0
+
+
+def test_a_failing_suite_counts_its_failures_and_keeps_the_first_witness(monkeypatch):
+    real = analysis.dihedrant
+    monkeypatch.setattr(analysis, "dihedrant", lambda A: 1 if A.n >= 6 else real(A))
+    drawn = []
+    for idx in range(20):  # the draws of check_rank_one, redrawn
+        rng = Random((3 << 32) + idx)
+        drawn.append(analysis._rank_one_matrix(rng, rng.randint(3, 6)))
+    failing = [A for A in drawn if A.n >= 6]
+    assert drawn[0].n < 6 and len(failing) > 1  # the first failure is not the first draw
+    report = check_rank_one(seed=3, trials=20)
+    assert (report.trials, report.failures) == (20, len(failing))
+    assert report.witness == matrix_to_json(failing[0])
 
 
 def test_three_identical_row_groups_can_break_cancellation():
@@ -284,34 +307,42 @@ def test_search_is_reproducible_and_prefix_stable():
     assert longer[: len(solo)] == solo and len(longer) > len(solo)
 
 
-def test_search_budget_is_enforced():
+def test_search_budget_is_enforced(monkeypatch):
     config = SearchConfig(n=4, entry_range=(-9, 9), mode=SearchMode.EXHAUSTIVE)
     with pytest.raises(ResourceLimitError):
         search_dih_equals_det(config)
     # 2^9 matrices fit a budget of 2^9 exactly and overflow 2^9 - 1
-    small = SearchConfig(n=3, entry_range=(0, 1), mode=SearchMode.EXHAUSTIVE, exhaustive_budget=2**9)
+    small = SearchConfig(n=3, entry_range=(0, 1), mode=SearchMode.EXHAUSTIVE)
+    monkeypatch.setattr(analysis, "SEARCH_BUDGET", 2**9)
     assert ExactMatrix.identity(3).rows in search_dih_equals_det(small, require_nonzero=True)
+    monkeypatch.setattr(analysis, "SEARCH_BUDGET", 2**9 - 1)
     with pytest.raises(ResourceLimitError):
-        search_dih_equals_det(replace(small, exhaustive_budget=2**9 - 1))
+        search_dih_equals_det(small)
     # a one-value range is a single matrix, however large the order; at n = 3 its walk costs 3 + 6 minor products
-    single = SearchConfig(n=3, entry_range=(2, 2), mode=SearchMode.EXHAUSTIVE, exhaustive_budget=9)
+    monkeypatch.setattr(analysis, "SEARCH_BUDGET", 9)
+    single = SearchConfig(n=3, entry_range=(2, 2), mode=SearchMode.EXHAUSTIVE)
     assert search_dih_equals_det(single) == [((2, 2, 2),) * 3]
+    monkeypatch.setattr(analysis, "SEARCH_BUDGET", 10)
     with pytest.raises(ResourceLimitError):
-        search_dih_equals_det(SearchConfig(n=3, sample_count=11, exhaustive_budget=10))
+        search_dih_equals_det(SearchConfig(n=3, sample_count=11))
 
 
-def test_search_budget_weighs_the_order():
+def test_search_budget_weighs_the_order(monkeypatch):
     # one matrix of order 8 costs (8/4)**3 = 8 of order 4 in random mode
-    sampled = SearchConfig(n=8, entry_range=(2, 2), sample_count=1, exhaustive_budget=8)
+    sampled = SearchConfig(n=8, entry_range=(2, 2), sample_count=1)
+    monkeypatch.setattr(analysis, "SEARCH_BUDGET", 8)
     assert search_dih_equals_det(sampled) == [((2,) * 8,) * 8]  # rank 1: dih = det = 0
+    monkeypatch.setattr(analysis, "SEARCH_BUDGET", 7)
     for config in (sampled, replace(sampled, sample_count=0)):
         with pytest.raises(ResourceLimitError, match="order 8 counts as 8 matrices of order 4"):
-            search_dih_equals_det(replace(config, exhaustive_budget=7))
+            search_dih_equals_det(config)
     # the exhaustive walk is charged its minor products: sum of C(8, l) * l over l < 8 = 8 * 2**7 - 8
-    single = replace(sampled, mode=SearchMode.EXHAUSTIVE, exhaustive_budget=1016)
+    single = replace(sampled, mode=SearchMode.EXHAUSTIVE)
+    monkeypatch.setattr(analysis, "SEARCH_BUDGET", 1016)
     assert search_dih_equals_det(single) == [((2,) * 8,) * 8]
+    monkeypatch.setattr(analysis, "SEARCH_BUDGET", 1015)
     with pytest.raises(ResourceLimitError, match="order 8 needs more minor products than the budget of 1015"):
-        search_dih_equals_det(replace(single, exhaustive_budget=1015))
+        search_dih_equals_det(single)
 
 
 @pytest.mark.parametrize("require_nonzero", [False, True])
@@ -427,6 +458,5 @@ def test_registry_rejects_unknown_claims():
         run_claim("thm:unknown")
 
 
-def test_claim_descriptions_exist():
-    for claim in CLAIMS.values():
-        assert claim.description
+def test_every_claim_is_named_in_the_module_docstring():
+    assert all(f"    {claim_id} " in analysis.__doc__ for claim_id in CLAIMS)

@@ -1,5 +1,6 @@
 """CLI behavior: output, exit codes, and determinism."""
 
+import csv
 import json
 import sys
 import time
@@ -18,6 +19,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def csv_field_limit():
+    """Start the test under csv's default 131,072-character field limit; restore the old limit after."""
+    old = csv.field_size_limit(131_072)
+    yield
+    csv.field_size_limit(old)
 
 
 @pytest.fixture
@@ -129,6 +138,26 @@ def test_eval_reads_entries_past_the_int_digit_limit(capsys, tmp_path, int_digit
     assert out == digits + "\n"
 
 
+def test_eval_reads_csv_cells_past_the_field_limit(capsys, tmp_path, int_digit_limit, csv_field_limit):
+    digits = "1" * 140_000
+    path = tmp_path / "long.csv"
+    path.write_text(digits + "\n")
+    code, out, err = run(capsys, "eval", str(path), "det-elim")
+    assert code == 0 and err == ""
+    assert out == digits + "\n"
+
+
+@pytest.mark.parametrize("name", ["long.json", "junk.csv"])
+def test_eval_error_quotes_long_values_briefly(capsys, tmp_path, name):
+    # one entry of 200,000 numbers (a 1.49 MB document), or one 100,000-character cell
+    text = json.dumps([[list(range(200_000))]]) if name.endswith(".json") else "x" * 100_000 + "\n"
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, "eval", str(path), "dih")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 200
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -155,11 +184,8 @@ def test_verify_failure_prints_witness_and_exits_one(capsys, monkeypatch):
     import dihedrant.analysis as analysis
     from dihedrant.analysis import Claim, TheoremReport
 
-    failing = Claim(
-        "test:failing",
-        "always fails",
-        lambda seed, trials: [TheoremReport("test:failing", 3, 1, witness="[[0]]")],
-    )
+    report = TheoremReport("test:failing", 3, 1, witness="[[0]]")
+    failing = Claim("test:failing", lambda seed, trials: [report])
     patched = dict(analysis.CLAIMS)
     patched["test:failing"] = failing
     monkeypatch.setattr(analysis, "CLAIMS", patched)
@@ -301,7 +327,10 @@ def test_search_budget_is_checked_before_the_work(capsys):
     assert err == "error: exhaustive space of 19^90000 matrices exceeds the budget of 2000000\n"
     code, out, err = run(capsys, "search", "--n", "3", "--count", str(10**12))
     assert code == 3 and out == ""
-    assert err == "error: 1000000000000 random samples exceed the budget of 2000000\n"
+    assert err == (
+        "error: search at order 3 counts as 1000000000000 matrices of order 4"
+        " and exceeds the budget of 2000000\n"
+    )
 
 
 @pytest.mark.parametrize(

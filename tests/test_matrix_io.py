@@ -1,5 +1,6 @@
 """Matrix file formats: strict parsing, error positions, round trips."""
 
+import csv
 from fractions import Fraction
 
 import pytest
@@ -75,6 +76,15 @@ def test_csv_parsing():
 def test_csv_errors_name_the_position():
     with pytest.raises(MatrixFormatError, match="row 2, column 2"):
         parse_matrix_csv("1,2\n3,oops\n")
+
+
+def test_csv_cell_past_the_field_limit_is_a_format_error():
+    old = csv.field_size_limit(10)
+    try:
+        with pytest.raises(MatrixFormatError, match="invalid CSV: field larger than field limit"):
+            parse_matrix_csv("12345678901,0\n0,1\n")
+    finally:
+        csv.field_size_limit(old)
 
 
 def test_csv_requires_square():
