@@ -559,12 +559,12 @@ def search_dih_equals_det(config: SearchConfig, require_nonzero: bool = False) -
     row-major odometer order.  Both functionals are linear in the last row
     r, so with the top n-1 rows fixed, dih = d.r and det = c.r, and the hits
     are the r in the box with (d - c).r = 0 (and d.r != 0 under
-    ``require_nonzero``), found by meet in the middle over the halves of r.
-    A depth-first walk over the prefixes carries down the minors of the
-    fixed rows on every column subset of their size (one Laplace step per
-    new row; the (n-1)-subsets give c) and the 2n dihedral partial products
-    (summing to d): sum over l < n of base**(n*l) * C(n, l) * l minor
-    products in all, then about 2 * base**(n/2) dot products per prefix.
+    ``require_nonzero``); each prefix tests every r of the box in turn, d.r
+    only where (d - c).r = 0.  A depth-first walk over the prefixes carries
+    down the minors of the fixed rows on every column subset of their size
+    (one Laplace step per new row; the (n-1)-subsets give c) and the 2n
+    dihedral partial products (summing to d): sum over l < n of
+    base**(n*l) * C(n, l) * l minor products in all.
 
     Before any work the search is weighed against ``SEARCH_BUDGET``:
     the matrices, each of order n counting as max(n, 4)**3 / 4**3 of order
@@ -613,25 +613,12 @@ def search_dih_equals_det(config: SearchConfig, require_nonzero: bool = False) -
 
 def _exhaustive_hits(n: int, values: range, require_nonzero: bool) -> list[IntRows]:
     """The exhaustive search of ``search_dih_equals_det``, one prefix of n-1 rows at a time."""
-    split = (n + 1) // 2  # left halves are enumerated, right halves tabled
-    rights = list(itertools.product(values, repeat=n - split))
+    lasts = list(itertools.product(values, repeat=n))  # the walk's rows too, so hits share them
     hits = []
-    for top, d, c in _last_row_coefficients([list(itertools.product(values, repeat=n))] * (n - 1)):
-        e = [dj - cj for dj, cj in zip(d, c)]
-        e_left, e_right = e[:split], e[split:]
-        d_left, d_right = d[:split], d[split:]
-        table: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-        for right in rights:
-            key = sum(map(operator.mul, e_right, right))
-            table.setdefault(key, []).append((right, sum(map(operator.mul, d_right, right))))
-        for left in itertools.product(values, repeat=split):
-            matches = table.get(-sum(map(operator.mul, e_left, left)))
-            if matches is None:
-                continue
-            dih_left = sum(map(operator.mul, d_left, left))
-            for right, dih_right in matches:
-                if dih_left + dih_right or not require_nonzero:
-                    hits.append(top + (left + right,))
+    for top, d, c in _last_row_coefficients([lasts] * (n - 1)):
+        e = list(map(operator.sub, d, c))
+        hits += [top + (last,) for last in lasts if not sum(map(operator.mul, e, last))
+                 and (not require_nonzero or sum(map(operator.mul, d, last)))]
     return hits
 
 

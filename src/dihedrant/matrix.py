@@ -25,8 +25,16 @@ from typing import Iterable, Sequence
 
 from .perm import Permutation
 
+
+class _Brief(reprlib.Repr):
+    """Quotes rejected values in error messages, cut to a few hundred characters."""
+
+    def repr_int(self, x: int, level: int) -> str:  # past 2,000 bits str(x) may exceed the digit limit
+        return super().repr_int(x, level) if x.bit_length() <= 2000 else f"<int of {x.bit_length()} bits>"
+
+
 _ENTRY_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
-_brief = reprlib.Repr()  # quotes rejected values in error messages, cut to a few hundred characters
+_brief = _Brief()
 _brief.maxlevel = 1
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -23,6 +24,17 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 @pytest.fixture
 def fixtures_dir() -> Path:
     return FIXTURES
+
+
+@pytest.fixture
+def int_digit_limit():
+    """Start the test under CPython's default 4,300-digit int/str limit; restore the old limit after."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int/str digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
 
 
 def gauss_rank(rows) -> int:

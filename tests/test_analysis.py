@@ -1,5 +1,6 @@
 """Claim checkers, sign classification, report plumbing, and the search."""
 
+import itertools
 import json
 from dataclasses import replace
 from fractions import Fraction
@@ -354,6 +355,32 @@ def test_exhaustive_search_equals_the_plain_enumerator(n, lo, hi, require_nonzer
     config = SearchConfig(n=n, entry_range=(lo, hi), mode=SearchMode.EXHAUSTIVE)
     # list equality: the same hits in the same row-major odometer order
     assert search_dih_equals_det(config, require_nonzero) == plain_search(n, lo, hi, require_nonzero)
+
+
+def test_exhaustive_search_at_order_three_lists_the_whole_box():
+    # D_3 = S_3 and sig = sgn there, so every matrix is a hit
+    config = SearchConfig(n=3, entry_range=(0, 3), mode=SearchMode.EXHAUSTIVE)
+    rows = list(itertools.product(range(4), repeat=3))
+    expected = list(itertools.product(rows, repeat=3))
+    assert len(expected) == 262_144
+    assert search_dih_equals_det(config) == expected
+
+
+def test_exhaustive_search_at_order_two_lists_the_singular_matrices():
+    # dih is identically 0 at order 2, so the hits are the matrices with det = ad - bc = 0
+    config = SearchConfig(n=2, entry_range=(-9, 9), mode=SearchMode.EXHAUSTIVE)
+    box = range(-9, 10)
+    expected = [((a, b), (c, d)) for a, b, c, d in itertools.product(box, repeat=4) if a * d == b * c]
+    assert len(expected) == 3041
+    assert search_dih_equals_det(config) == expected
+    assert search_dih_equals_det(config, require_nonzero=True) == []
+
+
+def test_exhaustive_hits_share_their_last_rows():
+    config = SearchConfig(n=4, entry_range=(1, 2), mode=SearchMode.EXHAUSTIVE)
+    hits = search_dih_equals_det(config)
+    assert len(hits) == 20_952
+    assert len({id(hit[-1]) for hit in hits}) <= 2**4
 
 
 def test_exhaustive_search_runs_no_elimination(monkeypatch):

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import re
+import shlex
 import sys
 import time
 from pathlib import Path
@@ -12,7 +14,9 @@ from dihedrant.cli import MAX_TABLE_ORDER, main
 from dihedrant.analysis import TWOS_ONES_MATRIX
 from dihedrant.matrix_io import matrix_to_obj
 
-from conftest import plain_search
+from conftest import FIXTURES, plain_search
+
+README = FIXTURES.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -21,23 +25,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def readme_examples() -> list[str]:
+    """Every ``dihedrant ...`` line of the README's sh blocks."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    return [line for block in blocks for line in block.splitlines() if line.startswith("dihedrant ")]
+
+
 @pytest.fixture
 def csv_field_limit():
     """Start the test under csv's default 131,072-character field limit; restore the old limit after."""
     old = csv.field_size_limit(131_072)
     yield
     csv.field_size_limit(old)
-
-
-@pytest.fixture
-def int_digit_limit():
-    """Start the test under CPython's default 4,300-digit int/str limit; restore the old limit after."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("this Python has no int/str digit limit")
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield
-    sys.set_int_max_str_digits(old)
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +390,21 @@ def test_search_finds_recorded_matrix(capsys):
 
 # ---------------------------------------------------------------------------
 # usage
+
+def test_readme_has_cli_examples():
+    assert len(readme_examples()) >= 8
+
+
+@pytest.mark.parametrize("line", readme_examples(), ids=lambda line: line.partition("#")[0].strip())
+def test_readme_example_runs(capsys, monkeypatch, line):
+    # a trailing "# -> v" names the value the line prints
+    command, _, comment = line.partition("#")
+    monkeypatch.chdir(README.parent)
+    code, out, _ = run(capsys, *shlex.split(command)[1:])
+    assert code == 0
+    if comment.strip().startswith("->"):
+        assert out.strip() == comment.strip()[2:].strip()
+
 
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:

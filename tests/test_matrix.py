@@ -46,6 +46,24 @@ def test_one_strict_scalar_parser(bad):
         ExactMatrix([[bad]])
 
 
+@pytest.mark.parametrize("bad", [[10**5000], (-(10**5000),), {10**5000: 1}])
+def test_rejected_big_ints_are_described_without_conversion(int_digit_limit, bad):
+    # under the default limit, str() of a 5,000-digit int raises; the message must not try it
+    with pytest.raises(ValueError) as info:
+        ExactMatrix([[bad]])
+    message = str(info.value)
+    assert message.startswith("entries must be exact") and len(message) <= 200
+    assert "bits>" in message
+
+
+def test_rejected_short_values_print_as_before():
+    with pytest.raises(ValueError) as info:
+        ExactMatrix([[[3, 10**50]]])
+    assert str(info.value) == (
+        "entries must be exact (int, Fraction, or 'p/q'), got [3, 100000000000000000...0000000000000000000]"
+    )
+
+
 def test_scalar_strings_go_through_parse_scalar():
     assert as_scalar(" 3/4 ") == parse_scalar(" 3/4 ") == Fraction(3, 4)
     with pytest.raises(MatrixFormatError, match="zero denominator"):
