@@ -25,8 +25,8 @@ The registry maps claim ids to runners (see ``claim_ids`` / ``run_claim``):
     scheme:4x4        the three-coset scheme partitions S_4 and sums to det
     oracle:elim       elimination determinant agrees with the n!-term oracle
     ex:expansion      rank-2 multilinear expansion has exactly 2^n terms
-    ex:corner         corner-pattern matrices, dih == det tallied per order
-                      (empirical: observed, never asserted)
+    ex:corner         corner-pattern matrices: dih and det match their
+                      two-term closed forms; dih == det tallied per order
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from random import Random
@@ -133,17 +133,37 @@ def _draws(seed: int, trials: int, draw: Callable[[Random], T], offset: int = 0)
         yield draw(Random((seed << 32) + index))
 
 
+def _ints(rng: Random, count: int, lo: int, hi: int) -> list[int]:
+    """count draws of rng.randint(lo, hi) at a third of the calls: randint ends in
+    Random._randbelow_with_getrandbits, which rejects width.bit_length()-bit draws >= width."""
+    width = hi - lo + 1
+    k = width.bit_length()
+    bits = rng.getrandbits
+    draws = []
+    for _ in range(count):
+        r = bits(k)
+        while r >= width:
+            r = bits(k)
+        draws.append(lo + r)
+    return draws
+
+
+def _square(rng: Random, n: int, lo: int, hi: int) -> IntRows:
+    """n * n draws in [lo, hi], row by row."""
+    return tuple(zip(*[iter(_ints(rng, n * n, lo, hi))] * n))
+
+
 def _random_matrix(rng: Random, n: int, lo: int = -5, hi: int = 5) -> ExactMatrix:
-    return ExactMatrix([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)])
+    return ExactMatrix(_square(rng, n, lo, hi))
 
 
 def _nonzero_int(rng: Random, bound: int) -> int:
-    value = rng.randint(1, bound)
+    value = _ints(rng, 1, 1, bound)[0]
     return value if rng.random() < 0.5 else -value
 
 
 def _random_vector(rng: Random, n: int, lo: int = -4, hi: int = 4) -> tuple[int, ...]:
-    return tuple(rng.randint(lo, hi) for _ in range(n))
+    return tuple(_ints(rng, n, lo, hi))
 
 
 def _nonzero_vector(rng: Random, n: int) -> tuple[int, ...]:
@@ -219,7 +239,7 @@ def check_sign_formulas(max_n: int = 12) -> TheoremReport:
 # identity suites
 
 def check_transpose_invariance(seed: int = 0, trials: int = 200) -> TheoremReport:
-    samples = _draws(seed, trials, lambda rng: _random_matrix(rng, rng.randint(1, 8)))
+    samples = _draws(seed, trials, lambda rng: _random_matrix(rng, _ints(rng, 1, 1, 8)[0]))
     return _report("thm:AT", ((dihedrant(A.transpose()) == dihedrant(A), A) for A in samples))
 
 
@@ -230,7 +250,7 @@ def check_dihedral_permutation(seed: int = 0, trials: int = 200) -> TheoremRepor
     n = 4..7 against a fixed random matrix per order.
     """
     def trial(rng: Random) -> tuple[bool, ExactMatrix]:
-        n = rng.randint(3, 7)
+        n = _ints(rng, 1, 3, 7)[0]
         A = _random_matrix(rng, n)
         return _perm_trial(A, rng.choice(dihedral_group(n))), A
 
@@ -253,11 +273,11 @@ def _perm_trial(A: ExactMatrix, elem: DihedralElement) -> bool:
 
 def check_multilinearity(seed: int = 0, trials: int = 200) -> TheoremReport:
     def trial(rng: Random) -> tuple[bool, ExactMatrix]:
-        n = rng.randint(2, 6)
+        n = _ints(rng, 1, 2, 6)[0]
         A = _random_matrix(rng, n)
-        j = rng.randint(1, n)
-        alpha = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-        beta = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        j = _ints(rng, 1, 1, n)[0]
+        alpha = Fraction(_ints(rng, 1, -6, 6)[0], _ints(rng, 1, 1, 4)[0])
+        beta = Fraction(_ints(rng, 1, -6, 6)[0], _ints(rng, 1, 1, 4)[0])
         b = _random_vector(rng, n)
         combined = A.linear_combination_row(j, alpha, beta, b)
         replaced = A.linear_combination_row(j, 0, 1, b)
@@ -288,7 +308,7 @@ def _rank_le2_matrix(rng: Random, n: int) -> ExactMatrix:
     b = _random_vector(rng, n)
     rows = []
     for _ in range(n):
-        alpha, beta = rng.randint(-3, 3), rng.randint(-3, 3)
+        alpha, beta = _ints(rng, 2, -3, 3)
         rows.append([alpha * x + beta * y for x, y in zip(a, b)])
     return ExactMatrix(rows)
 
@@ -298,7 +318,7 @@ def _dih_vanishes(claim_id: str, samples: Iterable[ExactMatrix]) -> TheoremRepor
 
 
 def check_rank_one(seed: int = 0, trials: int = 200) -> TheoremReport:
-    samples = _draws(seed, trials, lambda rng: _rank_one_matrix(rng, rng.randint(3, 6)))
+    samples = _draws(seed, trials, lambda rng: _rank_one_matrix(rng, _ints(rng, 1, 3, 6)[0]))
     return _dih_vanishes("thm:rank1", samples)
 
 
@@ -306,7 +326,7 @@ def check_equal_rows(seed: int = 0, trials: int = 200, odd_rows: int = 1) -> The
     if odd_rows not in (1, 2):
         raise ValueError("odd_rows must be 1 or 2")
     lo = 3 if odd_rows == 1 else 4
-    samples = _draws(seed, trials, lambda rng: _equal_rows_matrix(rng, rng.randint(lo, 7), odd_rows))
+    samples = _draws(seed, trials, lambda rng: _equal_rows_matrix(rng, _ints(rng, 1, lo, 7)[0], odd_rows))
     return _dih_vanishes(f"thm:rows{odd_rows}", samples)
 
 
@@ -318,20 +338,9 @@ def check_rank_two_small(seed: int = 0, trials: int = 200) -> TheoremReport:
 # ---------------------------------------------------------------------------
 # anti-triangular matrices
 
-def _anti_triangular_matrix(rng: Random, n: int) -> ExactMatrix:
+def _anti_triangular_rows(rng: Random, n: int) -> list[list[int]]:
     """Zero below the anti-diagonal, nonzero on it, free entries above."""
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            if i + j < n + 1:
-                row.append(rng.randint(-5, 5))
-            elif i + j == n + 1:
-                row.append(_nonzero_int(rng, 5))
-            else:
-                row.append(0)
-        rows.append(row)
-    return ExactMatrix(rows)
+    return [_ints(rng, n - 1 - i, -5, 5) + [_nonzero_int(rng, 5)] + [0] * i for i in range(n)]
 
 
 def check_antitriangular(n: int, trials: int = 100, seed: int = 0) -> TheoremReport:
@@ -345,24 +354,23 @@ def check_antitriangular(n: int, trials: int = 100, seed: int = 0) -> TheoremRep
         raise ValueError("anti-triangular checks need n >= 3")
     det_sign = 1 if n % 4 in (0, 1) else -1
 
-    def holds(A: ExactMatrix) -> bool:
-        product = Fraction(1)
-        for i in range(1, n + 1):
-            product *= A.entry(i, n - i + 1)
+    def outcome(rows: list[list[int]]) -> tuple[bool, ExactMatrix]:
+        A = ExactMatrix(rows)
+        product = math.prod(row[n - 1 - i] for i, row in enumerate(rows))
         dih = dihedrant(A)
         det = elimination_det(A)
         return (
             dih == -product
             and det == det_sign * product
             and (dih == det) == (n % 4 in (2, 3))
-        )
+        ), A
 
-    samples = _draws(seed, trials, lambda rng: _anti_triangular_matrix(rng, n))
-    return _report(f"thm:antitri:n={n}", ((holds(A), A) for A in samples))
+    samples = _draws(seed, trials, lambda rng: _anti_triangular_rows(rng, n))
+    return _report(f"thm:antitri:n={n}", map(outcome, samples))
 
 
 # ---------------------------------------------------------------------------
-# corner-pattern exercise (empirical)
+# corner pattern
 
 def corner_pattern_mask(n: int) -> set[tuple[int, int]]:
     """Positions allowed to be nonzero: diagonal, superdiagonal, corner (n,1)."""
@@ -374,26 +382,33 @@ def corner_pattern_mask(n: int) -> set[tuple[int, int]]:
     return mask
 
 
-def _corner_pattern_matrix(rng: Random, n: int) -> ExactMatrix:
+def _corner_pattern_rows(rng: Random, n: int) -> list[list[int]]:
     mask = corner_pattern_mask(n)
-    return ExactMatrix(
-        [
-            [_nonzero_int(rng, 5) if (i, j) in mask else 0 for j in range(1, n + 1)]
-            for i in range(1, n + 1)
-        ]
-    )
+    return [[_nonzero_int(rng, 5) if (i, j) in mask else 0 for j in range(1, n + 1)]
+            for i in range(1, n + 1)]
 
 
 def check_corner_pattern(n: int, trials: int = 200, seed: int = 0) -> TheoremReport:
-    """Tally how often dih == det on the corner pattern; never asserts.
+    """dih and det against their closed forms on the corner pattern; observes how often dih == det.
 
-    The identity has no recorded ground truth here, so mismatches are an
-    observation, not failures: the report always carries failures == 0 and
-    the per-order tally in ``observation``.
+    Only the identity and the cycle i -> i+1 fit the mask, so with P_diag and P_cyc
+    the products along them, det = P_diag + (-1)**(n-1) * P_cyc and dih = P_diag + P_cyc
+    (0 at n = 2, where the cycle is also a reflection); dih == det exactly for odd n.
     """
-    samples = _draws(seed, trials, lambda rng: _corner_pattern_matrix(rng, n))
-    held = sum(dihedrant(A) == elimination_det(A) for A in samples)
-    return TheoremReport(f"ex:corner:n={n}", trials, 0, None, _corner_note(held, trials))
+    held = 0
+
+    def outcome(rows: list[list[int]]) -> tuple[bool, ExactMatrix]:
+        nonlocal held
+        A = ExactMatrix(rows)
+        diag = math.prod(rows[i][i] for i in range(n))
+        cyc = math.prod(rows[i][(i + 1) % n] for i in range(n))
+        dih, det = dihedrant(A), elimination_det(A)
+        held += dih == det
+        return dih == (diag + cyc if n >= 3 else 0) and det == diag + (-1) ** (n - 1) * cyc, A
+
+    samples = _draws(seed, trials, lambda rng: _corner_pattern_rows(rng, n))
+    report = _report(f"ex:corner:n={n}", map(outcome, samples))
+    return replace(report, observation=_corner_note(held, trials))
 
 
 def _corner_note(held: int, samples: int) -> str:
@@ -521,8 +536,8 @@ def check_rank2_expansion(seed: int = 0) -> TheoremReport:
     def trial(rng: Random, n: int) -> tuple[bool, ExactMatrix]:
         a = _nonzero_vector(rng, n)
         b = _nonzero_vector(rng, n)
-        alphas = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
-        betas = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+        alphas = list(map(Fraction, _ints(rng, n, -3, 3)))
+        betas = list(map(Fraction, _ints(rng, n, -3, 3)))
         full = ExactMatrix(
             [[alphas[i] * x + betas[i] * y for x, y in zip(a, b)] for i in range(n)]
         )
@@ -598,10 +613,7 @@ def search_dih_equals_det(config: SearchConfig, require_nonzero: bool = False) -
                 f"exhaustive search at order {n} needs more minor products than the budget of {budget}"
             )
         return _exhaustive_hits(n, range(lo, hi + 1), require_nonzero)
-    samples = _draws(
-        config.seed, config.sample_count,
-        lambda rng: tuple(tuple(rng.randint(lo, hi) for _ in range(n)) for _ in range(n)),
-    )
+    samples = _draws(config.seed, config.sample_count, lambda rng: _square(rng, n, lo, hi))
     terms = dihedral_terms(n)
     hits = []
     for rows in samples:
@@ -676,7 +688,9 @@ def _corner_runner(seed: int, trials: int) -> list[TheoremReport]:
     reports = [check_corner_pattern(n, trials, seed) for n in orders]
     held_orders = [str(n) for n, r in zip(orders, reports) if r.observation == _corner_note(trials, trials)]
     summary = "dih=det held on every sample for n = " + (", ".join(held_orders) or "(none)")
-    reports.append(TheoremReport("ex:corner", sum(r.trials for r in reports), 0, None, summary))
+    failures = sum(r.failures for r in reports)
+    witness = next((r.witness for r in reports if r.witness is not None), None)
+    reports.append(TheoremReport("ex:corner", sum(r.trials for r in reports), failures, witness, summary))
     return reports
 
 

@@ -10,12 +10,13 @@
 * ``elimination_det``: fraction-free (Bareiss) elimination, the scalable
   reference for orders beyond the oracle cap.
 
-``dihedrant`` and ``elimination_det`` run on the integer rows of
-:func:`dihedrant.matrix.cleared_rows`, through the package's one
-signed-product loop and its one elimination kernel.  ``leibniz_det`` shares
-only the signed-product loop: it reads the matrix entries as they are and
-never touches the clearing step or the elimination kernel, so comparing it
-with ``elimination_det`` compares two independent routes.
+``dihedrant`` and ``elimination_det`` run on the integer rows each matrix
+clears once and keeps, through the package's one signed-product loop and
+its one elimination kernel.  ``leibniz_det`` shares only the signed-product
+loop: it reads the stored entries (ints, and Fractions where an entry is not
+an integer) as they are and never touches the clearing step or the
+elimination kernel, so comparing it with ``elimination_det`` compares two
+independent routes.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .matrix import ExactMatrix, cleared_rows, echelon, signed_product_sum
+from .matrix import ExactMatrix, echelon, signed_product_sum
 from .perm import dihedral_group, sgn, sig, symmetric_group
 
 
@@ -39,23 +40,21 @@ def dihedrant(A: ExactMatrix) -> Fraction:
     Identically zero for n <= 2 (each reflection repeats a rotation's
     product) and equal to the determinant for n = 3, where D_3 = S_3.
     """
-    ints, scales = cleared_rows(A.rows)
+    ints, scales = A._cleared()
     return Fraction(signed_product_sum(ints, dihedral_terms(A.n)), scales)
 
 
 def leibniz_det(A: ExactMatrix) -> Fraction:
     """Determinant by brute-force expansion over all of S_n.
 
-    The products run on plain ints when every entry is an integer.  Raises
-    ResourceLimitError above the symmetric-group cap.
+    The products run on the stored entries, plain ints wherever an entry
+    is an integer.  Raises ResourceLimitError above the symmetric-group cap.
     """
-    grid = A.rows
-    if all(e.denominator == 1 for row in grid for e in row):
-        grid = [[e.numerator for e in row] for row in grid]
-    return Fraction(signed_product_sum(grid, ((p.images, sgn(p)) for p in symmetric_group(A.n))))
+    terms = ((p.images, sgn(p)) for p in symmetric_group(A.n))
+    return Fraction(signed_product_sum(A._grid, terms))
 
 
 def elimination_det(A: ExactMatrix) -> Fraction:
     """Determinant by fraction-free elimination; agrees with leibniz_det."""
-    ints, scales = cleared_rows(A.rows)
-    return Fraction(echelon(ints)[1], scales)
+    ints, scales = A._cleared()
+    return Fraction(echelon(list(map(list, ints)))[1], scales)

@@ -1,18 +1,20 @@
 """Square matrices over the exact rationals.
 
-Entries are ``fractions.Fraction`` values, which already enforce the scalar
-invariants (reduced form, positive denominator, zero as 0/1).  Matrices are
-immutable; every operation returns a new value.  Addressing is 1-based to
-match the one-line permutation convention in :mod:`dihedrant.perm`.
+Entries are stored as given when they are ``int``s; every other exact value
+becomes a ``fractions.Fraction`` (reduced form, positive denominator), and
+a Fraction with denominator 1 is stored as its int, so equal matrices have
+equal grids.  ``rows`` and ``entry`` still hand out ``Fraction``s.  Matrices
+are immutable; every operation returns a new value.  Addressing is 1-based
+to match the one-line permutation convention in :mod:`dihedrant.perm`.
 
 Floats are rejected at construction: every identity this package checks is
 exact, and a silently binary-rounded entry would poison all of them.
 
 The module also holds the package's one exact-integer layer, which every
-functional, scheme and search runs on: ``cleared_rows`` turns rational rows
-into integer rows, ``signed_product_sum`` is the one loop over signed
-permutation products, and ``echelon`` is the one fraction-free elimination,
-serving both rank and determinant.
+functional, scheme and search runs on: ``ExactMatrix._cleared`` turns a
+matrix's rows into integer rows once, ``signed_product_sum`` is the one
+loop over signed permutation products, and ``echelon`` is the one
+fraction-free elimination, serving both rank and determinant.
 """
 
 from __future__ import annotations
@@ -36,51 +38,73 @@ class _Brief(reprlib.Repr):
 _ENTRY_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 _brief = _Brief()
 _brief.maxlevel = 1
+_INT = {int}
+_NOT_ROWS = (str, bytes, bytearray, dict, set, frozenset)  # iterable, but not an ordered row
 
 
 class MatrixFormatError(ValueError):
     """A matrix entry, file or document that does not satisfy the format."""
 
 
-def parse_scalar(text: str) -> Fraction:
-    """Parse an ASCII integer or 'p/q' string, surrounding whitespace allowed; reject the rest."""
+def _parse(text: str) -> int | Fraction:
+    """The one strict parser: an ASCII integer or 'p/q', surrounding whitespace allowed."""
     value = text.strip()
     if not _ENTRY_RE.fullmatch(value):
         raise MatrixFormatError(f"not an integer or p/q value: {_brief.repr(text)}")
+    if "/" not in value:
+        return int(value)
     try:
-        return Fraction(value)
+        return _exact(Fraction(value))
     except ZeroDivisionError:
         raise MatrixFormatError(f"zero denominator: {_brief.repr(text)}") from None
 
 
-def as_scalar(value) -> Fraction:
-    """Coerce an int, Fraction, or 'p/q' string to an exact scalar; reject every other type."""
+def _exact(value) -> int | Fraction:
+    """An entry as ExactMatrix stores it: an int, or a Fraction that is not one."""
     kind = type(value)
     if kind is int:
-        return Fraction(value)
-    if kind is Fraction:
         return value
     if isinstance(value, str):
-        return parse_scalar(value)
-    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-        return Fraction(value)
-    raise ValueError(f"entries must be exact (int, Fraction, or 'p/q'), got {_brief.repr(value)}")
+        return _parse(value)
+    if kind is not Fraction:
+        if not isinstance(value, (int, Fraction)) or isinstance(value, bool):
+            raise ValueError(f"entries must be exact (int, Fraction, or 'p/q'), got {_brief.repr(value)}")
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def parse_scalar(text: str) -> Fraction:
+    """Parse an ASCII integer or 'p/q' string, surrounding whitespace allowed; reject the rest."""
+    return Fraction(_parse(text))
+
+
+def as_scalar(value) -> Fraction:
+    """Coerce an int, Fraction, or 'p/q' string to an exact scalar; reject every other type."""
+    return value if type(value) is Fraction else Fraction(_exact(value))
 
 
 class ExactMatrix:
     """An immutable n x n matrix of exact rationals."""
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_grid", "_int_rows")
 
     def __init__(self, rows: Iterable[Iterable]) -> None:
-        grid = tuple(tuple(as_scalar(e) for e in row) for row in rows)
+        if isinstance(rows, _NOT_ROWS):
+            raise ValueError(f"rows must be a sequence of rows, not a {type(rows).__name__}")
+        grid = []
+        for i, row in enumerate(rows, start=1):
+            if isinstance(row, _NOT_ROWS):
+                raise ValueError(f"row {i} is a {type(row).__name__}, not a sequence of entries")
+            row = tuple(row)
+            grid.append(row if {*map(type, row)} == _INT else tuple(map(_exact, row)))
         n = len(grid)
         if n < 1:
             raise ValueError("matrix must have at least one row")
         for i, row in enumerate(grid, start=1):
             if len(row) != n:
                 raise ValueError(f"row {i} has {len(row)} entries, expected {n} (matrix must be square)")
-        object.__setattr__(self, "_rows", grid)
+        self._grid = tuple(grid)
+        self._int_rows = None
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
@@ -88,61 +112,80 @@ class ExactMatrix:
 
     @property
     def n(self) -> int:
-        return len(self._rows)
+        return len(self._grid)
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self._rows
+        return tuple(tuple(map(Fraction, row)) for row in self._grid)
 
     def entry(self, i: int, j: int) -> Fraction:
         """Entry in row i, column j, 1-based."""
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise ValueError(f"position ({i},{j}) outside 1..{self.n}")
-        return self._rows[i - 1][j - 1]
+        return Fraction(self._grid[i - 1][j - 1])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self._rows == other._rows
+        return self._grid == other._grid
 
     def __hash__(self) -> int:
-        return hash(self._rows)
+        return hash(self._grid)
 
     def __repr__(self) -> str:
-        body = ", ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self._rows)
+        body = ", ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self._grid)
         return f"ExactMatrix([{body}])"
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(zip(*self._rows))
+        return ExactMatrix(zip(*self._grid))
 
     def permute_columns(self, sigma: Permutation) -> "ExactMatrix":
         """New matrix whose j-th column is this matrix's sigma(j)-th column."""
         self._check_perm(sigma)
         return ExactMatrix(
-            tuple(row[j - 1] for j in sigma.images) for row in self._rows
+            tuple(row[j - 1] for j in sigma.images) for row in self._grid
         )
 
     def permute_rows(self, sigma: Permutation) -> "ExactMatrix":
         """New matrix whose i-th row is this matrix's sigma(i)-th row."""
         self._check_perm(sigma)
-        return ExactMatrix(self._rows[i - 1] for i in sigma.images)
+        return ExactMatrix(self._grid[i - 1] for i in sigma.images)
 
     def linear_combination_row(self, j: int, alpha, beta, b: Sequence) -> "ExactMatrix":
         """Replace row j by alpha*(row j) + beta*b, other rows unchanged."""
         if not 1 <= j <= self.n:
             raise ValueError(f"row {j} outside 1..{self.n}")
-        vec = tuple(as_scalar(e) for e in b)
+        vec = tuple(map(_exact, b))
         if len(vec) != self.n:
             raise ValueError(f"replacement row has {len(vec)} entries, expected {self.n}")
-        a, c = as_scalar(alpha), as_scalar(beta)
-        new_row = tuple(a * x + c * y for x, y in zip(self._rows[j - 1], vec))
+        a, c = _exact(alpha), _exact(beta)
+        new_row = tuple(a * x + c * y for x, y in zip(self._grid[j - 1], vec))
         return ExactMatrix(
-            new_row if i == j - 1 else row for i, row in enumerate(self._rows)
+            new_row if i == j - 1 else row for i, row in enumerate(self._grid)
         )
 
     def rank(self) -> int:
         """Exact rank over the rationals (row scaling does not change it)."""
-        return echelon(cleared_rows(self._rows)[0])[0]
+        return echelon(list(map(list, self._cleared()[0])))[0]
+
+    def _cleared(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """Each row scaled by the lcm of its denominators, and the product of the scales.
+
+        The dihedrant, the determinant and every scheme are linear in each row, so their
+        value is their value on these integer rows divided by the product; rank does not
+        change.  Computed once; the rows are tuples, so an in-place ``echelon`` raises.
+        """
+        if self._int_rows is None:
+            ints = []
+            scales = 1
+            for row in self._grid:
+                if {*map(type, row)} != _INT:
+                    scale = math.lcm(*(e.denominator for e in row))
+                    scales *= scale
+                    row = tuple(e.numerator * (scale // e.denominator) for e in row)
+                ints.append(row)
+            self._int_rows = tuple(ints), scales
+        return self._int_rows
 
     def _check_perm(self, sigma: Permutation) -> None:
         if sigma.n != self.n:
@@ -151,22 +194,6 @@ class ExactMatrix:
 
 # ---------------------------------------------------------------------------
 # the exact-integer layer
-
-
-def cleared_rows(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """Each row scaled by the lcm of its denominators, and the product of the scales.
-
-    The dihedrant, the determinant and every scheme are linear in each row,
-    so their value on ``rows`` is their value on the integer rows divided
-    by the product; rank does not change at all.
-    """
-    ints = []
-    scales = 1
-    for row in rows:
-        scale = math.lcm(*(e.denominator for e in row))
-        scales *= scale
-        ints.append([e.numerator * (scale // e.denominator) for e in row])
-    return ints, scales
 
 
 def echelon(m: list[list[int]]) -> tuple[int, int]:

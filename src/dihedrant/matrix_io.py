@@ -5,10 +5,10 @@ Two hand-authorable formats:
 * JSON: an array of arrays; each entry is an integer or a string "p/q".
 * CSV: one row per line; each cell is an integer or p/q.
 
-JSON entries go through :func:`dihedrant.matrix.as_scalar` and CSV cells
-through :func:`dihedrant.matrix.parse_scalar`, the checks ``ExactMatrix``
-applies itself (no floats, no booleans, no scientific notation, no zero
-denominators), and parse errors name the offending row and column.
+JSON entries and CSV cells go through the checks ``ExactMatrix`` applies
+itself, with the one strict scalar parser of :mod:`dihedrant.matrix` (no
+floats, no booleans, no scientific notation, no zero denominators); integer
+entries stay ``int``, and parse errors name the offending row and column.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from .matrix import ExactMatrix, MatrixFormatError, as_scalar, parse_scalar
+from .matrix import ExactMatrix, MatrixFormatError, _exact, _parse, parse_scalar
 
 _SUFFIX_FORMATS = {".json": "json", ".csv": "csv"}
 
@@ -48,9 +48,9 @@ def matrix_from_obj(obj) -> ExactMatrix:
     return _to_square_matrix(rows)
 
 
-def _entry_from_obj(e, i: int, j: int) -> Fraction:
+def _entry_from_obj(e, i: int, j: int) -> int | Fraction:
     try:
-        return as_scalar(e)
+        return _exact(e)
     except ValueError as exc:
         raise MatrixFormatError(f"row {i}, column {j}: {exc}") from None
 
@@ -77,7 +77,7 @@ def parse_matrix_csv(text: str) -> ExactMatrix:
         row = []
         for j, cell in enumerate(cells, start=1):
             try:
-                row.append(parse_scalar(cell))
+                row.append(_parse(cell))
             except MatrixFormatError as exc:
                 raise MatrixFormatError(f"row {i}, column {j}: {exc}") from None
         rows.append(row)
@@ -86,7 +86,7 @@ def parse_matrix_csv(text: str) -> ExactMatrix:
     return _to_square_matrix(rows)
 
 
-def _to_square_matrix(rows: list[list[Fraction]]) -> ExactMatrix:
+def _to_square_matrix(rows: list[list[int | Fraction]]) -> ExactMatrix:
     try:
         return ExactMatrix(rows)
     except ValueError as exc:

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrix import ExactMatrix, cleared_rows, signed_product_sum
+from .matrix import ExactMatrix, signed_product_sum
 from .perm import (
     DihedralElement,
     Permutation,
@@ -66,7 +66,7 @@ class Scheme:
 
     def evaluate(self, A: ExactMatrix) -> Fraction:
         """Sum of the monomials; each is linear in every row, so integer rows serve."""
-        ints, scales = cleared_rows(A.rows)
+        ints, scales = A._cleared()
         terms = ((m.perm.images, m.sign) for m in self.monomials)
         return Fraction(signed_product_sum(ints, terms), scales)
 

@@ -37,6 +37,20 @@ def int_digit_limit():
     sys.set_int_max_str_digits(old)
 
 
+@pytest.fixture
+def fractions_built(monkeypatch) -> list:
+    """One item per ``Fraction`` constructed from here on; clear it to start a count."""
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    return built
+
+
 def gauss_rank(rows) -> int:
     """Rank oracle: plain rational Gaussian elimination, no Bareiss tricks."""
     m = [[Fraction(e) for e in row] for row in rows]
@@ -105,20 +119,32 @@ def plain_search(n: int, lo: int, hi: int, require_nonzero: bool = False) -> lis
     """Search oracle: every matrix in odometer order, dih and det evaluated on each one.
 
     Hits are integer row tuples, like the search's.  dih is an exact sum over
-    ``dihedral_group(n)`` and det is ``gauss_det``; nothing comes from
+    ``dihedral_group(n)`` and det is ``cofactor_det``; nothing comes from
     ``analysis`` or the integer layer in ``matrix``.
     """
     return [rows for rows, dih in _plain_hits(n, lo, hi) if dih != 0 or not require_nonzero]
 
 
+def cofactor_det(rows) -> int:
+    """Determinant oracle on integer rows: Laplace expansion along the first row, plain ints."""
+    if not rows:
+        return 1
+    first, rest = rows[0], rows[1:]
+    return sum(
+        (-1) ** j * a * cofactor_det([row[:j] + row[j + 1 :] for row in rest])
+        for j, a in enumerate(first)
+        if a
+    )
+
+
 @lru_cache(maxsize=None)
-def _plain_hits(n: int, lo: int, hi: int) -> tuple[tuple[tuple[tuple[int, ...], ...], Fraction], ...]:
+def _plain_hits(n: int, lo: int, hi: int) -> tuple[tuple[tuple[tuple[int, ...], ...], int], ...]:
     # each element as the flat positions (i, sigma(i)) of its product, with its sign
     group = [([i * n + j - 1 for i, j in enumerate(elem.perm.images)], sig(elem)) for elem in dihedral_group(n)]
     hits = []
     for flat in itertools.product(range(lo, hi + 1), repeat=n * n):
-        dih = Fraction(sum(sign * math.prod(map(flat.__getitem__, cells)) for cells, sign in group))
+        dih = sum(sign * math.prod(map(flat.__getitem__, cells)) for cells, sign in group)
         rows = tuple(flat[i * n : (i + 1) * n] for i in range(n))
-        if dih == gauss_det(rows):
+        if dih == cofactor_det(rows):
             hits.append((rows, dih))
     return tuple(hits)

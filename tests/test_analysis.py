@@ -231,6 +231,23 @@ def test_corner_pattern_order_three_always_agrees():
     assert report.observation == "dih=det held on 100/100 samples"
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_corner_pattern_closed_forms_hold(n):
+    assert check_corner_pattern(n, trials=40, seed=n).failures == 0
+
+
+def test_a_wrong_dihedrant_fails_the_corner_pattern(monkeypatch):
+    real = analysis.dihedrant
+    monkeypatch.setattr(analysis, "dihedrant", lambda A: real(A) + (A.n == 6))
+    first = analysis._corner_pattern_rows(Random((5 << 32) + 0), 6)
+    report = check_corner_pattern(6, trials=20, seed=5)
+    assert (report.trials, report.failures) == (20, 20)
+    assert report.witness == matrix_to_json(ExactMatrix(first))
+    reports = run_claim("ex:corner", seed=5, trials=20)
+    assert [r.failures for r in reports] == [0, 0, 20, 0, 0, 20]
+    assert reports[-1].witness == report.witness
+
+
 def test_corner_pattern_table_matches_two_permutation_analysis():
     # only the diagonal and the full cycle survive the mask, so
     # dih - det = (1 - sgn(cycle)) * cycle product: zero iff n is odd
@@ -238,6 +255,24 @@ def test_corner_pattern_table_matches_two_permutation_analysis():
         report = check_corner_pattern(n, trials=50, seed=6)
         held = int(report.observation.split()[3].split("/")[0])
         assert held == (50 if n % 2 == 1 else 0)
+
+
+# ---------------------------------------------------------------------------
+# seeded draws
+
+@pytest.mark.parametrize("lo, hi", [(0, 0), (0, 1), (-1, 1), (0, 7), (-9, 9), (-3, 12)])
+def test_int_draws_are_the_randint_stream(lo, hi):
+    for seed in range(200):
+        ours, theirs = Random(seed), Random(seed)
+        assert analysis._ints(ours, 30, lo, hi) == [theirs.randint(lo, hi) for _ in range(30)]
+        assert ours.random() == theirs.random()
+
+
+def test_a_one_value_draw_still_consumes_bits():
+    # randint(4, 4) draws one bit until it reads 0, so the stream moves on
+    ours, theirs = Random(8), Random(8)
+    assert analysis._ints(ours, 3, 4, 4) == [theirs.randint(4, 4) for _ in range(3)] == [4, 4, 4]
+    assert ours.getstate() == theirs.getstate() != Random(8).getstate()
 
 
 # ---------------------------------------------------------------------------

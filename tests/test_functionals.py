@@ -1,5 +1,6 @@
 """The dihedrant, the expansion-oracle determinant, and elimination."""
 
+import math
 from fractions import Fraction
 from random import Random
 
@@ -10,7 +11,9 @@ from dihedrant.functionals import dihedrant, elimination_det, leibniz_det
 from dihedrant.matrix import ExactMatrix
 from dihedrant.perm import Permutation, ResourceLimitError, dihedral_group, sig
 
-from conftest import gauss_det, low_rank_rows, random_int_rows, random_rational_rows
+from dihedrant.schemes import false_sarrus_scheme
+
+from conftest import cofactor_det, gauss_det, low_rank_rows, random_int_rows, random_rational_rows
 
 MINUS15 = ExactMatrix([[1, 0, 0, -1], [1, -3, 0, -3], [1, 1, 5, 5], [0, 0, 0, 1]])
 TWOS_ONES = ExactMatrix([[2, 2, 2, 2], [1, 2, 1, 1], [2, 2, 2, 1], [1, 2, 2, 1]])
@@ -220,3 +223,50 @@ def test_elimination_det_matches_plain_gauss_above_the_oracle_cap(n):
         assert elimination_det(ExactMatrix(rows)) == gauss_det(rows)
     assert gauss_det(rational) != 0 and gauss_det(singular) == 0
 
+
+
+# ---------------------------------------------------------------------------
+# stored ints and the cleared rows
+
+_MIXED_ENTRY = st.one_of(
+    st.integers(-9, 9),
+    st.integers(-9, 9).map(Fraction),
+    st.fractions(min_value=-9, max_value=9, max_denominator=9),
+)
+
+
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(_MIXED_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n)
+))
+def test_functionals_are_exact_on_grids_that_mix_ints_and_fractions(rows):
+    A = ExactMatrix(rows)
+    fractions = [[Fraction(e) for e in row] for row in rows]
+    group_sum = sum(
+        (sig(elem) * math.prod(fractions[i][j - 1] for i, j in enumerate(elem.perm.images))
+         for elem in dihedral_group(len(rows))),
+        Fraction(0),
+    )
+    assert dihedrant(A) == group_sum
+    assert elimination_det(A) == leibniz_det(A) == gauss_det(fractions)
+
+
+def test_functionals_on_an_int_matrix_build_only_their_value(fractions_built):
+    A = ExactMatrix([[1, 0, 0, -1], [1, -3, 0, -3], [1, 1, 5, 5], [0, 0, 0, 1]])
+    dihedrant(A)  # the D_4 terms are built once per order
+    for functional, built, expected in ((dihedrant, 1, -15), (elimination_det, 1, -15), (ExactMatrix.rank, 0, 4)):
+        fresh = ExactMatrix(A._grid)  # its integer rows not yet cleared
+        fractions_built.clear()
+        value = functional(fresh)
+        assert len(fractions_built) == built and value == expected
+    fractions_built.clear()
+    value = false_sarrus_scheme(4).evaluate(A)
+    assert len(fractions_built) == 1 and value == -15
+
+
+def test_the_cofactor_oracle_agrees_with_gauss():
+    rng = Random(71)
+    assert cofactor_det([]) == 1
+    for n in range(1, 6):
+        for _ in range(20):
+            rows = random_int_rows(rng, n, -4, 4)
+            assert cofactor_det(rows) == gauss_det(rows)

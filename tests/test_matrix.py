@@ -16,7 +16,11 @@ from dihedrant.matrix import (
 )
 from dihedrant.perm import Permutation, compose, dihedral_group, rotation_perm, sig
 
-from conftest import gauss_rank, low_rank_rows, random_int_rows, random_rational_rows
+from dihedrant.functionals import dihedrant, elimination_det
+from dihedrant.matrix_io import load_matrix
+from dihedrant.schemes import false_sarrus_scheme
+
+from conftest import FIXTURES, gauss_rank, low_rank_rows, random_int_rows, random_rational_rows
 
 MINUS15_ROWS = [[1, 0, 0, -1], [1, -3, 0, -3], [1, 1, 5, 5], [0, 0, 0, 1]]
 
@@ -101,6 +105,60 @@ def test_equality_and_hash():
     B = ExactMatrix([["1", "2"], ["3", "4"]])
     assert A == B and hash(A) == hash(B)
     assert A != ExactMatrix([[1, 2], [3, 5]])
+    C = ExactMatrix([[Fraction(1), "2/1"], [Fraction(6, 2), " 4 "]])
+    assert A == C and hash(A) == hash(C)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["12", "34"], "row 1 is a str"),
+        ([b"\x01\x02", b"\x03\x04"], "row 1 is a bytes"),
+        ([[1, 2], bytearray(b"\x03\x04")], "row 2 is a bytearray"),
+        ([{2: 0, 1: 0}, {5: 0, 7: 0}], "row 1 is a dict"),
+        ([[1, 2], {3, 4}], "row 2 is a set"),
+        ([frozenset({1})], "row 1 is a frozenset"),
+        ("1", "rows must be a sequence of rows, not a str"),
+        (b"\x01", "rows must be a sequence of rows, not a bytes"),
+        ({(1,): 0}, "rows must be a sequence of rows, not a dict"),
+        ({(1,)}, "rows must be a sequence of rows, not a set"),
+    ],
+)
+def test_rows_that_are_strings_bytes_or_unordered_are_rejected(rows, message):
+    with pytest.raises(ValueError, match=message):
+        ExactMatrix(rows)
+
+
+def test_integral_entries_are_stored_as_ints_and_read_as_fractions():
+    A = ExactMatrix([[Fraction(2), "6/3"], [" 4 ", 5]])
+    assert all(type(e) is int for row in A._grid for e in row)
+    assert type(ExactMatrix([["1/2"]])._grid[0][0]) is Fraction
+    assert all(type(e) is Fraction for row in A.rows for e in row)
+    assert type(A.entry(2, 2)) is Fraction
+    assert type(parse_scalar("7")) is Fraction and type(as_scalar(7)) is Fraction
+
+
+def test_an_int_matrix_is_built_and_loaded_without_fractions(fractions_built):
+    A = ExactMatrix(MINUS15_ROWS)
+    from_csv = load_matrix(FIXTURES / "minus15.csv")
+    from_json = load_matrix(FIXTURES / "minus15.json")
+    assert not fractions_built
+    assert A == from_csv == from_json
+
+
+def test_the_cleared_rows_are_kept_and_never_mutated():
+    A = ExactMatrix([[0, "1/2", 1], [2, "1/3", 1], [4, 1, 2]])  # the first column needs a row swap
+    cleared = A._cleared()
+    assert cleared == (((0, 1, 2), (6, 1, 3), (4, 1, 2)), 6)
+    for _ in range(2):
+        dihedrant(A)
+        elimination_det(A)
+        false_sarrus_scheme(3).evaluate(A)
+    assert A.rank() == 3
+    assert A._cleared() is cleared
+    assert cleared == (((0, 1, 2), (6, 1, 3), (4, 1, 2)), 6)
+    with pytest.raises(TypeError):  # tuples: an in-place elimination of the cache fails loudly
+        echelon(cleared[0])
 
 
 # ---------------------------------------------------------------------------
