@@ -558,7 +558,7 @@ def check_rank2_expansion(seed: int = 0) -> TheoremReport:
 
 IntRows = tuple[tuple[int, ...], ...]  # one search hit: the rows of an integer matrix
 
-SEARCH_BUDGET = 2_000_000  # most order-4 matrices, and minor products, one search may spend
+SEARCH_BUDGET = 2_000_000  # most order-4 matrices one search may test
 
 
 def search_dih_equals_det(config: SearchConfig, require_nonzero: bool = False) -> list[IntRows]:
@@ -571,49 +571,44 @@ def search_dih_equals_det(config: SearchConfig, require_nonzero: bool = False) -
     duplicates stay as sampled) and evaluates both functionals on each, so
     the hits among the first k samples do not depend on ``sample_count``.
     Exhaustive mode returns every hit with entries in ``entry_range``, in
-    row-major odometer order.  Both functionals are linear in the last row
-    r, so with the top n-1 rows fixed, dih = d.r and det = c.r, and the hits
-    are the r in the box with (d - c).r = 0 (and d.r != 0 under
-    ``require_nonzero``); each prefix tests every r of the box in turn, d.r
-    only where (d - c).r = 0.  A depth-first walk over the prefixes carries
-    down the minors of the fixed rows on every column subset of their size
-    (one Laplace step per new row; the (n-1)-subsets give c) and the 2n
-    dihedral partial products (summing to d): sum over l < n of
-    base**(n*l) * C(n, l) * l minor products in all.
+    row-major odometer order; a one-value range is its one matrix, which is
+    evaluated like a sample.  With two or more values, both functionals are
+    linear in the last row r, so with the top n-1 rows fixed, dih = d.r and
+    det = c.r, and the hits are the r in the box with (d - c).r = 0 (and
+    d.r != 0 under ``require_nonzero``); each prefix tests every r of the
+    box in turn, d.r only where (d - c).r = 0.  A depth-first walk over the
+    prefixes carries down the minors of the fixed rows on every column
+    subset of their size (one Laplace step per new row; the (n-1)-subsets
+    give c) and the 2n dihedral partial products (summing to d).
 
-    Before any work the search is weighed against ``SEARCH_BUDGET``:
-    the matrices, each of order n counting as max(n, 4)**3 / 4**3 of order
-    4 (a search as at least one), then in exhaustive mode the minor products.
+    Before any work the search is weighed against ``SEARCH_BUDGET``: the
+    walk by the base**(n*n) matrices of its space, and the evaluated
+    matrices by their count, each of order n counting as max(n, 4)**3 / 4**3
+    of order 4 (a search as at least one).
     """
     n = config.n
     lo, hi = config.entry_range
     budget = SEARCH_BUDGET
     exhaustive = config.mode is SearchMode.EXHAUSTIVE
-    if exhaustive:
+    if exhaustive and hi > lo:
         base = hi - lo + 1
         # base >= 2 makes the space at least 2**(n*n): compare exponents first
-        if base > 1 and (n * n >= budget.bit_length() or base ** (n * n) > budget):
+        if n * n >= budget.bit_length() or base ** (n * n) > budget:
             raise ResourceLimitError(
                 f"exhaustive space of {base}^{n * n} matrices exceeds the budget of {budget}"
             )
-        matrices = base ** (n * n)
-    else:
-        matrices = config.sample_count
-    # one elimination per matrix: order n costs (n/4)**3 of order 4
-    weight = max(matrices, 1) * max(n, 4) ** 3
+        return _exhaustive_hits(n, range(lo, hi + 1), require_nonzero)
+    # one elimination per matrix: order n costs (n/4)**3 of order 4, and a search at least one
+    weight = (1 if exhaustive else max(config.sample_count, 1)) * max(n, 4) ** 3
     if weight > budget * 4**3:
         raise ResourceLimitError(
             f"search at order {n} counts as {-(-weight // 4**3)} matrices of order 4"
             f" and exceeds the budget of {budget}"
         )
-    if exhaustive:
-        charges = (base ** (n * depth) * math.comb(n, depth) * depth for depth in range(1, n))
-        if any(charge > budget for charge in itertools.accumulate(charges)):
-            raise ResourceLimitError(
-                f"exhaustive search at order {n} needs more minor products than the budget of {budget}"
-            )
-        return _exhaustive_hits(n, range(lo, hi + 1), require_nonzero)
-    samples = _draws(config.seed, config.sample_count, lambda rng: _square(rng, n, lo, hi))
+    if exhaustive:  # a one-value range: its space is this one matrix
+        samples = [((lo,) * n,) * n]
+    else:
+        samples = _draws(config.seed, config.sample_count, lambda rng: _square(rng, n, lo, hi))
     terms = dihedral_terms(n)
     hits = []
     for rows in samples:

@@ -42,6 +42,11 @@ _INT = {int}
 _NOT_ROWS = (str, bytes, bytearray, dict, set, frozenset)  # iterable, but not an ordered row
 
 
+def _not_a_row(value) -> bool:
+    """One of _NOT_ROWS, or a memoryview of one (of bytes: its items are byte values too)."""
+    return isinstance(value.obj if isinstance(value, memoryview) else value, _NOT_ROWS)
+
+
 class MatrixFormatError(ValueError):
     """A matrix entry, file or document that does not satisfy the format."""
 
@@ -78,22 +83,17 @@ def parse_scalar(text: str) -> Fraction:
     return Fraction(_parse(text))
 
 
-def as_scalar(value) -> Fraction:
-    """Coerce an int, Fraction, or 'p/q' string to an exact scalar; reject every other type."""
-    return value if type(value) is Fraction else Fraction(_exact(value))
-
-
 class ExactMatrix:
     """An immutable n x n matrix of exact rationals."""
 
     __slots__ = ("_grid", "_int_rows")
 
     def __init__(self, rows: Iterable[Iterable]) -> None:
-        if isinstance(rows, _NOT_ROWS):
+        if _not_a_row(rows):
             raise ValueError(f"rows must be a sequence of rows, not a {type(rows).__name__}")
         grid = []
         for i, row in enumerate(rows, start=1):
-            if isinstance(row, _NOT_ROWS):
+            if _not_a_row(row):
                 raise ValueError(f"row {i} is a {type(row).__name__}, not a sequence of entries")
             row = tuple(row)
             grid.append(row if {*map(type, row)} == _INT else tuple(map(_exact, row)))

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 from dataclasses import replace
 from fractions import Fraction
 from random import Random
@@ -354,7 +355,7 @@ def test_search_budget_is_enforced(monkeypatch):
     monkeypatch.setattr(analysis, "SEARCH_BUDGET", 2**9 - 1)
     with pytest.raises(ResourceLimitError):
         search_dih_equals_det(small)
-    # a one-value range is a single matrix, however large the order; at n = 3 its walk costs 3 + 6 minor products
+    # a one-value range is a single matrix: at n = 3 it weighs one matrix of order 4
     monkeypatch.setattr(analysis, "SEARCH_BUDGET", 9)
     single = SearchConfig(n=3, entry_range=(2, 2), mode=SearchMode.EXHAUSTIVE)
     assert search_dih_equals_det(single) == [((2, 2, 2),) * 3]
@@ -364,21 +365,44 @@ def test_search_budget_is_enforced(monkeypatch):
 
 
 def test_search_budget_weighs_the_order(monkeypatch):
-    # one matrix of order 8 costs (8/4)**3 = 8 of order 4 in random mode
+    # one matrix of order 8 costs (8/4)**3 = 8 of order 4, sampled or as a one-value exhaustive space
     sampled = SearchConfig(n=8, entry_range=(2, 2), sample_count=1)
+    single = replace(sampled, mode=SearchMode.EXHAUSTIVE)
     monkeypatch.setattr(analysis, "SEARCH_BUDGET", 8)
-    assert search_dih_equals_det(sampled) == [((2,) * 8,) * 8]  # rank 1: dih = det = 0
+    for config in (sampled, single):
+        assert search_dih_equals_det(config) == [((2,) * 8,) * 8]  # rank 1: dih = det = 0
     monkeypatch.setattr(analysis, "SEARCH_BUDGET", 7)
-    for config in (sampled, replace(sampled, sample_count=0)):
+    for config in (sampled, replace(sampled, sample_count=0), single):
         with pytest.raises(ResourceLimitError, match="order 8 counts as 8 matrices of order 4"):
             search_dih_equals_det(config)
-    # the exhaustive walk is charged its minor products: sum of C(8, l) * l over l < 8 = 8 * 2**7 - 8
-    single = replace(sampled, mode=SearchMode.EXHAUSTIVE)
-    monkeypatch.setattr(analysis, "SEARCH_BUDGET", 1016)
-    assert search_dih_equals_det(single) == [((2,) * 8,) * 8]
-    monkeypatch.setattr(analysis, "SEARCH_BUDGET", 1015)
-    with pytest.raises(ResourceLimitError, match="order 8 needs more minor products than the budget of 1015"):
-        search_dih_equals_det(single)
+
+
+def test_the_space_check_bounds_the_walk(monkeypatch):
+    # the exhaustive walk carries sum over l < n of base**(n*l) * C(n, l) * l minor products,
+    # never more than the base**(n*n) matrices of its space, so the space check alone bounds it
+    budget = analysis.SEARCH_BUDGET
+    admitted = {}  # the largest base the budget admits at each order, from two values up
+    for n in itertools.count(1):
+        if 2 ** (n * n) > budget:
+            break
+        top = int(budget ** (1 / (n * n)))
+        while (top + 1) ** (n * n) <= budget:
+            top += 1
+        while top ** (n * n) > budget:
+            top -= 1
+        admitted[n] = top
+    assert admitted == {1: 2_000_000, 2: 37, 3: 5, 4: 2}  # the README's list
+    for n in range(2, len(admitted) + 1):  # at n = 1 there are no top rows, so nothing to walk
+        for base in range(2, admitted[n] + 1):
+            walk = sum(base ** (n * l) * math.comb(n, l) * l for l in range(n))
+            assert walk <= base ** (n * n), (n, base)
+    # and the search admits exactly these spaces, refusing the next base up before any walk
+    monkeypatch.setattr(analysis, "_exhaustive_hits", lambda n, values, require_nonzero: [])
+    for n, top in {**admitted, 5: 1}.items():
+        if n in admitted:
+            assert search_dih_equals_det(SearchConfig(n=n, entry_range=(1, top), mode=SearchMode.EXHAUSTIVE)) == []
+        with pytest.raises(ResourceLimitError, match=f"exhaustive space of {top + 1}\\^{n * n} matrices"):
+            search_dih_equals_det(SearchConfig(n=n, entry_range=(0, top), mode=SearchMode.EXHAUSTIVE))
 
 
 @pytest.mark.parametrize("require_nonzero", [False, True])

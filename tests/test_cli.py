@@ -9,9 +9,10 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dihedrant.cli import MAX_TABLE_ORDER, main
-from dihedrant.analysis import TWOS_ONES_MATRIX
+from dihedrant.analysis import CLAIMS, TWOS_ONES_MATRIX
 from dihedrant.matrix_io import matrix_to_obj
 
 from conftest import FIXTURES, plain_search
@@ -349,14 +350,23 @@ def test_search_refuses_large_orders_at_once(capsys, argv):
     assert err.startswith("error: ") and f"order {argv[1]}" in err and "budget" in err
 
 
-@pytest.mark.parametrize("n", ["18", "400"])
-def test_search_charges_the_minor_products_at_once(capsys, n):
-    # a one-value range is one matrix, but its walk carries n * 2**(n-1) - n minor products
+def test_search_tests_a_one_value_range_as_its_one_matrix(capsys):
     start = time.perf_counter()
-    code, out, err = run(capsys, "search", "--n", n, "--min", "2", "--max", "2", "--mode", "exhaustive")
+    code, out, err = run(capsys, "search", "--n", "18", "--min", "2", "--max", "2", "--mode", "exhaustive")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and err == ""
+    assert json.loads(out) == [[[2] * 18] * 18]  # rank 1: dih = det = 0
+
+
+def test_search_weighs_a_one_value_range_by_its_order(capsys):
+    # one matrix of order 504 counts as 504**3 / 4**3 > 2,000,000 of order 4; 503 is the largest admitted
+    start = time.perf_counter()
+    code, out, err = run(capsys, "search", "--n", "504", "--min", "2", "--max", "2", "--mode", "exhaustive")
     assert time.perf_counter() - start < 1.0
     assert code == 3 and out == ""
-    assert err == f"error: exhaustive search at order {n} needs more minor products than the budget of 2000000\n"
+    assert err == "error: search at order 504 counts as 2000376 matrices of order 4 and exceeds the budget of 2000000\n"
+    code, out, _ = run(capsys, "search", "--n", "503", "--min", "2", "--max", "2", "--mode", "exhaustive")
+    assert code == 0 and json.loads(out) == [[[2] * 503] * 503]
 
 
 @pytest.mark.parametrize("argv", [("verify", "thm:AT", "--seed", "-1"), ("search", "--n", "3", "--seed", "-1")])
@@ -410,3 +420,66 @@ def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# arbitrary argv
+
+_JUNK = st.text(st.characters(blacklist_categories=("Nd",)), max_size=4)  # never parses as an int
+
+
+def _or_junk(*values):
+    """One of the values (a list, or a strategy for ints) nine times in ten, else junk."""
+    valid = st.one_of(*(st.sampled_from(v) if isinstance(v, list) else v.map(str) for v in values))
+    return st.integers(0, 9).flatmap(lambda k: valid if k else _JUNK)
+
+
+_SEED = st.integers(-2, 2**70)
+# each subcommand's positionals, then its flags, each flag with its value and whether it is always given:
+# --trials, --count and the search box are always bounded, so no run outgrows a small budget
+_ARGS = {
+    "eval": (
+        [_or_junk([str(p) for p in sorted(FIXTURES.iterdir())] + [str(FIXTURES), str(FIXTURES / "none.json")]),
+         _or_junk(["dih", "det-leibniz", "det-elim"])],
+        {"--format": (_or_junk(["json", "csv"]), False)},
+    ),
+    "verify": (
+        [_or_junk(["all", "nosuch", *CLAIMS])],
+        {"--seed": (_or_junk(_SEED), False), "--trials": (_or_junk(st.integers(-1, 2)), True)},
+    ),
+    "signs": ([_or_junk(st.integers(-2, 6))], {}),
+    "scheme": ([_or_junk(st.integers(-2, 6), ["4x4-corrected"])], {}),
+    "search": ([], {
+        "--n": (_or_junk(st.integers(-1, 6)), True),
+        "--min": (_or_junk(st.integers(-1, 2)), True),
+        "--max": (_or_junk(st.integers(-1, 2)), True),
+        "--mode": (_or_junk(["random", "exhaustive"]), False),
+        "--seed": (_or_junk(_SEED), False),
+        "--count": (_or_junk(st.integers(-1, 50)), True),
+        "--require-nonzero": (None, False),
+    }),
+}
+
+
+@st.composite
+def bounded_argv(draw) -> list[str]:
+    """A subcommand, then its arguments and a little junk in any order; a flag keeps its value beside it."""
+    command = draw(st.sampled_from(sorted(_ARGS)))
+    positionals, flags = _ARGS[command]
+    groups = [[draw(value)] for value in positionals]
+    for flag, (value, always) in flags.items():
+        if always or draw(st.booleans()):
+            groups.append([flag] if value is None else [flag, draw(value)])
+    if draw(st.integers(0, 4)) == 0:
+        groups.append([draw(_JUNK)])
+    return [command] + [token for group in draw(st.permutations(groups)) for token in group]
+
+
+@settings(deadline=None)
+@given(bounded_argv())
+def test_any_bounded_argv_ends_in_a_documented_exit_code(argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse: 2 for a usage error, 0 after --help
+        code = exc.code
+    assert code in (0, 1, 2, 3)

@@ -1,5 +1,6 @@
 """Exact matrices: structure operations, rank, and the signed-product kernel."""
 
+from array import array
 from decimal import Decimal
 from fractions import Fraction
 from random import Random
@@ -9,7 +10,6 @@ import pytest
 from dihedrant.matrix import (
     ExactMatrix,
     MatrixFormatError,
-    as_scalar,
     echelon,
     parse_scalar,
     signed_product_sum,
@@ -25,27 +25,34 @@ from conftest import FIXTURES, gauss_rank, low_rank_rows, random_int_rows, rando
 MINUS15_ROWS = [[1, 0, 0, -1], [1, -3, 0, -3], [1, 1, 5, 5], [0, 0, 0, 1]]
 
 
+def entry_of(value) -> Fraction:
+    """value as the one entry of a 1x1 matrix."""
+    return ExactMatrix([[value]]).entry(1, 1)
+
+
 def test_scalars_are_canonical():
-    assert as_scalar("6/4") == Fraction(3, 2)
-    v = as_scalar("-6/4")
-    assert (v.numerator, v.denominator) == (-3, 2)
-    assert as_scalar(0) == Fraction(0, 1)
-    assert as_scalar(Fraction(2, 6)).denominator == 3
+    assert parse_scalar("6/4") == entry_of("6/4") == Fraction(3, 2)
+    for v in (parse_scalar("-6/4"), entry_of("-6/4"), entry_of(Fraction(-6, 4))):
+        assert (v.numerator, v.denominator) == (-3, 2)
+    assert parse_scalar("0") == entry_of(0) == Fraction(0, 1)
+    assert entry_of(Fraction(2, 6)).denominator == 3
 
 
 def test_floats_and_bools_are_rejected():
-    with pytest.raises(ValueError):
-        as_scalar(0.5)
-    with pytest.raises(ValueError):
-        as_scalar(True)
+    for bad in (0.5, True, False):
+        with pytest.raises(ValueError):
+            ExactMatrix([[bad]])
     with pytest.raises(ValueError):
         ExactMatrix([[1, 0.5], [0, 1]])
+    with pytest.raises(MatrixFormatError):
+        parse_scalar("True")
 
 
 @pytest.mark.parametrize("bad", ["1e3", "1_000", "1.5", "\u0663", "3/0", Decimal("0.5"), 1.0, None, [1]])
 def test_one_strict_scalar_parser(bad):
-    with pytest.raises(ValueError):
-        as_scalar(bad)
+    if isinstance(bad, str):
+        with pytest.raises(MatrixFormatError):
+            parse_scalar(bad)
     with pytest.raises(ValueError):
         ExactMatrix([[bad]])
 
@@ -69,11 +76,12 @@ def test_rejected_short_values_print_as_before():
 
 
 def test_scalar_strings_go_through_parse_scalar():
-    assert as_scalar(" 3/4 ") == parse_scalar(" 3/4 ") == Fraction(3, 4)
-    with pytest.raises(MatrixFormatError, match="zero denominator"):
-        as_scalar("3/0")
+    assert entry_of(" 3/4 ") == parse_scalar(" 3/4 ") == Fraction(3, 4)
+    for parse in (parse_scalar, entry_of):
+        with pytest.raises(MatrixFormatError, match="zero denominator"):
+            parse("3/0")
     q = Fraction(5, 7)
-    assert as_scalar(q) is q
+    assert ExactMatrix([[q]])._grid[0][0] is q
 
 
 def test_echelon_of_the_empty_matrix():
@@ -122,11 +130,19 @@ def test_equality_and_hash():
         (b"\x01", "rows must be a sequence of rows, not a bytes"),
         ({(1,): 0}, "rows must be a sequence of rows, not a dict"),
         ({(1,)}, "rows must be a sequence of rows, not a set"),
+        ([memoryview(b"\x01\x02"), memoryview(b"\x03\x04")], "row 1 is a memoryview"),
+        ([[1, 2], memoryview(bytearray(b"\x03\x04"))[:]], "row 2 is a memoryview"),
+        (memoryview(b"\x01"), "rows must be a sequence of rows, not a memoryview"),
     ],
 )
 def test_rows_that_are_strings_bytes_or_unordered_are_rejected(rows, message):
     with pytest.raises(ValueError, match=message):
         ExactMatrix(rows)
+
+
+def test_a_memoryview_of_an_int_array_is_a_row():
+    rows = [memoryview(array("q", [1, -2])), memoryview(array("b", [3, 4]))]
+    assert ExactMatrix(rows) == ExactMatrix([[1, -2], [3, 4]])
 
 
 def test_integral_entries_are_stored_as_ints_and_read_as_fractions():
@@ -135,7 +151,7 @@ def test_integral_entries_are_stored_as_ints_and_read_as_fractions():
     assert type(ExactMatrix([["1/2"]])._grid[0][0]) is Fraction
     assert all(type(e) is Fraction for row in A.rows for e in row)
     assert type(A.entry(2, 2)) is Fraction
-    assert type(parse_scalar("7")) is Fraction and type(as_scalar(7)) is Fraction
+    assert type(parse_scalar("7")) is Fraction and type(entry_of(7)) is Fraction
 
 
 def test_an_int_matrix_is_built_and_loaded_without_fractions(fractions_built):

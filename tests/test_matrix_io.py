@@ -1,9 +1,11 @@
 """Matrix file formats: strict parsing, error positions, round trips."""
 
 import csv
+import io
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from dihedrant import matrix
 from dihedrant.matrix import ExactMatrix
@@ -48,6 +50,17 @@ def test_json_round_trip():
     text = matrix_to_json(A)
     assert parse_matrix_json(text) == A
     assert matrix_to_obj(A) == [[1, "1/2"], ["-2/3", 4]]
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(st.integers(), st.fractions()), min_size=n, max_size=n), min_size=n, max_size=n
+)))
+def test_json_and_csv_round_trips_return_the_same_matrix(rows):
+    A = ExactMatrix(rows)
+    assert parse_matrix_json(matrix_to_json(A)) == A
+    text = io.StringIO()
+    csv.writer(text).writerows(matrix_to_obj(A))
+    assert parse_matrix_csv(text.getvalue()) == A
 
 
 def test_json_errors_name_the_position():
