@@ -33,8 +33,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import marshal
 import math
 import operator
+import os
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -560,6 +563,10 @@ IntRows = tuple[tuple[int, ...], ...]  # one search hit: the rows of an integer 
 
 SEARCH_BUDGET = 2_000_000  # most order-4 matrices one search may test
 
+# Least weight, max(n, 4)**3 per sample, of each span a random search splits into: forking
+# two spans beat one process from a weight of about 25,000 to 37,500 at n = 4 and n = 5.
+FORK_WEIGHT = 15_000
+
 
 def search_dih_equals_det(config: SearchConfig, require_nonzero: bool = False) -> list[IntRows]:
     """All integer matrices in the configured space with dihedrant == determinant.
@@ -585,6 +592,17 @@ def search_dih_equals_det(config: SearchConfig, require_nonzero: bool = False) -
     walk by the base**(n*n) matrices of its space, and the evaluated
     matrices by their count, each of order n counting as max(n, 4)**3 / 4**3
     of order 4 (a search as at least one).
+
+    A random search splits its sample indices into contiguous spans, one per
+    usable CPU (``os.sched_getaffinity``, else ``os.cpu_count``), but no more
+    than its weight (``sample_count * max(n, 4)**3``) holds ``FORK_WEIGHT``s,
+    the measured weight below which a fork costs more than it saves.  This
+    process runs the first span and a forked child each other one; every
+    sample index keeps its own stream, so the hits, joined in span order, are
+    those of one process.  Without ``os.fork``, with other threads running,
+    or below the threshold, the one span runs here.  Nothing selects this
+    but the weight and the CPUs: there is no flag.  Spans a tracer opens
+    inside the children are lost to it.
     """
     n = config.n
     lo, hi = config.entry_range
@@ -606,9 +624,24 @@ def search_dih_equals_det(config: SearchConfig, require_nonzero: bool = False) -
             f" and exceeds the budget of {budget}"
         )
     if exhaustive:  # a one-value range: its space is this one matrix
-        samples = [((lo,) * n,) * n]
-    else:
-        samples = _draws(config.seed, config.sample_count, lambda rng: _square(rng, n, lo, hi))
+        return _matrix_hits([((lo,) * n,) * n], n, require_nonzero)
+    count = config.sample_count
+
+    def span_hits(start: int, stop: int) -> list[IntRows]:
+        samples = _draws(config.seed, stop - start, lambda rng: _square(rng, n, lo, hi), start)
+        return _matrix_hits(samples, n, require_nonzero)
+
+    spans = 1
+    threading = sys.modules.get("threading")
+    if hasattr(os, "fork") and (threading is None or threading.active_count() == 1):  # fork only a lone thread
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        spans = max(1, min(cpus, count, weight // FORK_WEIGHT))
+    bounds = [count * k // spans for k in range(spans + 1)]
+    return _joined_spans(span_hits, list(zip(bounds, bounds[1:])))
+
+
+def _matrix_hits(samples: Iterable[IntRows], n: int, require_nonzero: bool) -> list[IntRows]:
+    """The samples with dih == det (and dih != 0 under require_nonzero), in order."""
     terms = dihedral_terms(n)
     hits = []
     for rows in samples:
@@ -616,6 +649,75 @@ def search_dih_equals_det(config: SearchConfig, require_nonzero: bool = False) -
         if (dih or not require_nonzero) and dih == echelon([list(row) for row in rows])[1]:
             hits.append(rows)
     return hits
+
+
+def _joined_spans(span_hits: Callable[[int, int], list[IntRows]], spans: list[tuple[int, int]]) -> list[IntRows]:
+    """span_hits over each (start, stop) span, joined in span order.
+
+    This process runs the first span; each other span runs in a forked child,
+    which sends back its hits (or its exception) over a pipe and leaves by
+    ``os._exit``.  Every child is reaped before this returns or raises.
+    """
+    children = []  # [pid, read end] of each forked span, in span order; None once reaped or closed
+    try:
+        for start, stop in spans[1:]:
+            children.append(_fork_span(span_hits, start, stop))
+        hits = span_hits(*spans[0])
+        for child in children:
+            pid, read = child
+            child[1] = None  # the file object owns the read end from here, and closes it
+            with open(read, "rb") as pipe:
+                message = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            child[0] = None
+            if not message:
+                raise ChildProcessError(f"a search span's process ended with wait status {status} and sent no hits")
+            ok, payload = marshal.loads(message)
+            if not ok:
+                import pickle
+
+                raise pickle.loads(payload)
+            hits += payload
+        return hits
+    finally:
+        for pid, read in children:
+            if read is not None:
+                os.close(read)
+            if pid is not None:
+                import signal
+
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _fork_span(span_hits: Callable[[int, int], list[IntRows]], start: int, stop: int) -> list:
+    """Fork a child that runs span_hits(start, stop) and writes the outcome to a pipe; [pid, read end]."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:  # the child: never return into the caller's stack, never flush the parent's stdio
+        try:
+            os.close(read)
+            try:
+                message = marshal.dumps((True, span_hits(start, stop)))
+            except BaseException as exc:  # sent to the parent, which raises it as a serial run would
+                import pickle
+
+                try:
+                    payload = pickle.dumps(exc)
+                except Exception:
+                    payload = pickle.dumps(RuntimeError(f"search span raised {exc!r}"))
+                message = marshal.dumps((False, payload))
+            with open(write, "wb") as pipe:
+                pipe.write(message)
+        finally:
+            os._exit(0)
+    os.close(write)
+    return [pid, read]
 
 
 def _exhaustive_hits(n: int, values: range, require_nonzero: bool) -> list[IntRows]:

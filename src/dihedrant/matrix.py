@@ -43,7 +43,11 @@ _NOT_ROWS = (str, bytes, bytearray, dict, set, frozenset)  # iterable, but not a
 
 
 def _not_a_row(value) -> bool:
-    """One of _NOT_ROWS, or a memoryview of one (of bytes: its items are byte values too)."""
+    """Not iterable, one of _NOT_ROWS, or a memoryview of one (of bytes: its items are byte values too)."""
+    try:
+        iter(value)
+    except TypeError:
+        return True
     return isinstance(value.obj if isinstance(value, memoryview) else value, _NOT_ROWS)
 
 

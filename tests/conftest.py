@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -35,6 +36,23 @@ def int_digit_limit():
     sys.set_int_max_str_digits(4300)
     yield
     sys.set_int_max_str_digits(old)
+
+
+@pytest.fixture
+def forks(monkeypatch) -> list:
+    """The pid of each child that ``os.fork`` makes in this process from here on (none without ``os.fork``)."""
+    children = []
+    if hasattr(os, "fork"):  # patching a missing fork in would make the search think it has one
+        fork = os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                children.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+    return children
 
 
 @pytest.fixture
@@ -137,14 +155,41 @@ def cofactor_det(rows) -> int:
     )
 
 
+def plain_random_search(
+    n: int, lo: int, hi: int, count: int, seed: int, require_nonzero: bool = False
+) -> list[tuple[tuple[int, ...], ...]]:
+    """Random-search oracle: sample i is drawn row by row by ``Random((seed << 32) + i).randint``.
+
+    dih is an exact sum over ``dihedral_group(n)`` and det is ``cofactor_det``,
+    as in ``plain_search``; nothing comes from ``analysis``.
+    """
+    hits = []
+    for i in range(count):
+        randint = Random((seed << 32) + i).randint
+        flat = tuple(randint(lo, hi) for _ in range(n * n))
+        rows, dih = _plain_evaluation(n, flat)
+        if (dih != 0 or not require_nonzero) and dih == cofactor_det(rows):
+            hits.append(rows)
+    return hits
+
+
 @lru_cache(maxsize=None)
 def _plain_hits(n: int, lo: int, hi: int) -> tuple[tuple[tuple[tuple[int, ...], ...], int], ...]:
-    # each element as the flat positions (i, sigma(i)) of its product, with its sign
-    group = [([i * n + j - 1 for i, j in enumerate(elem.perm.images)], sig(elem)) for elem in dihedral_group(n)]
     hits = []
     for flat in itertools.product(range(lo, hi + 1), repeat=n * n):
-        dih = sum(sign * math.prod(map(flat.__getitem__, cells)) for cells, sign in group)
-        rows = tuple(flat[i * n : (i + 1) * n] for i in range(n))
+        rows, dih = _plain_evaluation(n, flat)
         if dih == cofactor_det(rows):
             hits.append((rows, dih))
     return tuple(hits)
+
+
+def _plain_evaluation(n: int, flat: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The rows of a row-major n x n matrix, and its dih summed over ``dihedral_group(n)``."""
+    dih = sum(sign * math.prod(map(flat.__getitem__, cells)) for cells, sign in _dihedral_cells(n))
+    return tuple(flat[i * n : (i + 1) * n] for i in range(n)), dih
+
+
+@lru_cache(maxsize=None)
+def _dihedral_cells(n: int) -> tuple[tuple[list[int], int], ...]:
+    """Each element of D_n as the flat positions (i, sigma(i)) of its product, with its sign."""
+    return tuple(([i * n + j - 1 for i, j in enumerate(elem.perm.images)], sig(elem)) for elem in dihedral_group(n))

@@ -3,6 +3,8 @@
 import itertools
 import json
 import math
+import os
+import time
 from dataclasses import replace
 from fractions import Fraction
 from random import Random
@@ -44,7 +46,9 @@ from dihedrant.matrix import ExactMatrix, echelon
 from dihedrant.matrix_io import matrix_to_json
 from dihedrant.perm import ResourceLimitError, reflection_perm, rotation_perm, sgn
 
-from conftest import plain_search
+from conftest import plain_random_search, plain_search
+
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -442,13 +446,14 @@ def test_exhaustive_hits_share_their_last_rows():
     assert len({id(hit[-1]) for hit in hits}) <= 2**4
 
 
-def test_exhaustive_search_runs_no_elimination(monkeypatch):
+def test_exhaustive_search_runs_no_elimination(monkeypatch, forks):
     def refuse(m):
         raise AssertionError("the exhaustive search called echelon")
 
     monkeypatch.setattr(analysis, "echelon", refuse)
     config = SearchConfig(n=4, entry_range=(1, 2), mode=SearchMode.EXHAUSTIVE)
     assert len(search_dih_equals_det(config, require_nonzero=True)) == 3136
+    assert forks == []  # so the refusal was in force where the search ran
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -474,7 +479,7 @@ def test_laplace_carry_matches_elimination(n):
             assert c == [0] * n
 
 
-def test_search_hits_are_integer_rows_and_build_no_matrix(monkeypatch):
+def test_search_hits_are_integer_rows_and_build_no_matrix(monkeypatch, forks):
     built = 0
     init = ExactMatrix.__init__
 
@@ -490,7 +495,83 @@ def test_search_hits_are_integer_rows_and_build_no_matrix(monkeypatch):
         hits = search_dih_equals_det(config)
         assert isinstance(hits, list) and hits
         assert all(type(e) is int for hit in hits for row in hit for e in row)
+    assert forks == []  # below the fork threshold, so every construction would count here
     assert built == 0
+
+
+def _fork_counts(n: int) -> tuple[int, int]:
+    """The largest sample count a search of order n runs in one span, and the least it splits in two."""
+    least = -(-2 * analysis.FORK_WEIGHT // max(n, 4) ** 3)
+    return least - 1, least
+
+
+def _forked_config() -> SearchConfig:
+    return SearchConfig(n=5, entry_range=(-1, 1), sample_count=_fork_counts(5)[1], seed=5)
+
+
+needs_two_spans = pytest.mark.skipif(
+    not hasattr(os, "fork") or CPUS < 2, reason="needs os.fork and two usable CPUs"
+)
+
+
+@pytest.mark.parametrize("require_nonzero", [False, True])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_random_search_equals_the_plain_sampler(n, require_nonzero, forks):
+    below, least = _fork_counts(n)
+    # counts 0 and 1, both sides of the fork threshold, and (of least, least + 1) one not divisible by CPUS
+    for count in (0, 1, below, least, least + 1):
+        forks.clear()
+        config = SearchConfig(n=n, entry_range=(-1, 1), sample_count=count, seed=5)
+        hits = search_dih_equals_det(config, require_nonzero)
+        # list equality: the same hits in sample order, however the samples were split
+        assert hits == plain_random_search(n, -1, 1, count, 5, require_nonzero)
+        assert hits or count <= 1
+        assert bool(forks) == (count >= least and CPUS > 1 and hasattr(os, "fork")), count
+
+
+@needs_two_spans
+def test_a_forked_search_leaves_no_child(forks):
+    assert search_dih_equals_det(_forked_config(), require_nonzero=True)
+    assert forks
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_two_spans
+def test_an_exception_in_a_forked_span_reaches_the_caller(monkeypatch, forks):
+    parent = os.getpid()
+    kernel = analysis.signed_product_sum
+
+    def fails_in_a_child(rows, terms):
+        if os.getpid() != parent:
+            raise OverflowError("the kernel failed in a forked span")
+        return kernel(rows, terms)
+
+    monkeypatch.setattr(analysis, "signed_product_sum", fails_in_a_child)
+    with pytest.raises(OverflowError, match="the kernel failed in a forked span") as raised:
+        search_dih_equals_det(_forked_config())
+    assert type(raised.value) is OverflowError and forks
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_two_spans
+def test_an_interrupted_search_kills_and_reaps_its_children(monkeypatch, forks):
+    parent = os.getpid()
+
+    def interrupted(rows, terms):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(20)  # a child the search waits for, rather than kills, holds it this long
+        raise OverflowError("a forked span outlived the interrupt")
+
+    monkeypatch.setattr(analysis, "signed_product_sum", interrupted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        search_dih_equals_det(_forked_config())
+    assert forks and time.monotonic() - start < 10
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_search_config_validation():

@@ -2,8 +2,10 @@
 
 import csv
 import json
+import os
 import re
 import shlex
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -313,6 +315,21 @@ def test_search_random_mode_is_seeded(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert json.loads(out1) is not None
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_search_output_does_not_depend_on_the_cpus():
+    # 3,001 samples of order 5 split across every usable CPU; pinned to one CPU they run in one process
+    argv = ["search", "--n", "5", "--min", "-1", "--max", "1", "--count", "3001", "--seed", "3", "--require-nonzero"]
+    pin = "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); assert len(os.sched_getaffinity(0)) == 1; "
+    env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")}
+    driver = "import os, sys; {}from dihedrant.cli import main; sys.exit(main(sys.argv[1:]))"
+    procs = [
+        subprocess.run([sys.executable, "-c", driver.format(pinned), *argv], env=env, capture_output=True, timeout=300)
+        for pinned in ("", pin)
+    ]
+    assert [(proc.returncode, proc.stderr) for proc in procs] == [(0, b""), (0, b"")]
+    assert procs[0].stdout == procs[1].stdout and procs[0].stdout.startswith(b"[[[")
 
 
 def test_search_exhaustive_budget_exits_three(capsys):

@@ -133,6 +133,10 @@ def test_equality_and_hash():
         ([memoryview(b"\x01\x02"), memoryview(b"\x03\x04")], "row 1 is a memoryview"),
         ([[1, 2], memoryview(bytearray(b"\x03\x04"))[:]], "row 2 is a memoryview"),
         (memoryview(b"\x01"), "rows must be a sequence of rows, not a memoryview"),
+        # not iterable at all: a ValueError naming the rows or the row, not iter()'s TypeError
+        (5, "rows must be a sequence of rows, not a int"),
+        ([1, 2], "row 1 is a int, not a sequence of entries"),
+        ([[1, 2], 3], "row 2 is a int, not a sequence of entries"),
     ],
 )
 def test_rows_that_are_strings_bytes_or_unordered_are_rejected(rows, message):
