@@ -51,11 +51,13 @@ from .perm import (
     DihedralElement,
     DihedralKind,
     ResourceLimitError,
+    _check_order_index,
     dihedral_group,
     reflection_perm,
     rotation_perm,
     sgn,
     sig,
+    symmetric_group,
 )
 from .schemes import corrected_scheme_4x4, scheme_signs_within_D4
 
@@ -181,19 +183,14 @@ def _nonzero_vector(rng: Random, n: int) -> tuple[int, ...]:
 
 def transposition_count_rotation(n: int, k: int) -> int:
     """(k-1)(n-k+1): transpositions needed to sort the k-th rotation."""
-    _check_range(n, k)
+    _check_order_index(n, k)
     return (k - 1) * (n - k + 1)
 
 
 def transposition_count_reflection(n: int, k: int) -> int:
     """(n-k-1)(n-k)/2 + k(k-1)/2: transpositions sorting the k-th reflection."""
-    _check_range(n, k)
+    _check_order_index(n, k)
     return (n - k - 1) * (n - k) // 2 + k * (k - 1) // 2
-
-
-def _check_range(n: int, k: int) -> None:
-    if n < 1 or not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
 
 
 class SignRow(NamedTuple):
@@ -584,9 +581,10 @@ def search_dih_equals_det(config: SearchConfig, require_nonzero: bool = False) -
     det = c.r, and the hits are the r in the box with (d - c).r = 0 (and
     d.r != 0 under ``require_nonzero``); each prefix tests every r of the
     box in turn, d.r only where (d - c).r = 0.  A depth-first walk over the
-    prefixes carries down the minors of the fixed rows on every column
-    subset of their size (one Laplace step per new row; the (n-1)-subsets
-    give c) and the 2n dihedral partial products (summing to d).
+    prefixes carries one list of signed partial products, one for each of
+    dih's 2n terms and det's n!, and each new row multiplies every partial
+    by its entry in the term's column; d[j] and c[j] sum the partials of the
+    terms that take column j from the last row.
 
     Before any work the search is weighed against ``SEARCH_BUDGET``: the
     walk by the base**(n*n) matrices of its space, and the evaluated
@@ -736,36 +734,25 @@ def _last_row_coefficients(
 ) -> Iterator[tuple[IntRows, list[int], list[int]]]:
     """Each top (row i from levels[i], in odometer order) with its d and c: dih = d.r and det = c.r."""
     n = len(levels) + 1
-    # each row beside itself followed by its negation, so that index j + n reads -row[j]
-    levels = [[(row, row + tuple(-x for x in row)) for row in level] for level in levels]
-    subsets = [{s: k for k, s in enumerate(itertools.combinations(range(n), size))} for size in range(n)]
-    # a Laplace step along row l: M(S) = sum_t (-1)**(l + t) * row[S[t]] * M(S without S[t])
-    laplace = [
-        [
-            ([j + n * ((depth + t) % 2) for t, j in enumerate(s)],
-             [index[s[:t] + s[t + 1 :]] for t in range(len(s))])
-            for s in subsets[depth + 1]
-        ]
-        for depth, index in enumerate(subsets[:-1])
-    ]
-    cofactor_signs = [(-1) ** (n - 1 + j) for j in range(n)]  # the minor without column j is the (n-1-j)-th
-    # rotations, then reflections, each in the order of the column it takes from the last row
-    terms = sorted(dihedral_terms(n), key=lambda term: (-term[1], term[0][-1]))
+    # dih's 2n terms, then det's n!, each group sorted by the column a term takes from the last
+    # row: 2 and (n-1)! terms to a column.  The space check refuses every walk from n = 5 on, so
+    # a node carries at most 8 + 24 partial products.
+    groups = (dihedral_terms(n), [(p.images, sgn(p)) for p in symmetric_group(n)])
+    terms = [term for group in groups for term in sorted(group, key=lambda term: term[0][-1])]
     columns = [[images[depth] - 1 for images, _ in terms] for depth in range(n - 1)]
+    share = math.factorial(n - 1)
 
-    def descend(depth: int, top: IntRows, minors: list[int], partials: list[int]):
+    def descend(depth: int, top: IntRows, partials: list[int]):
         if depth == n - 1:  # the partials started at each term's sign
-            d = list(map(operator.add, partials[:n], partials[n:]))
-            yield top, d, list(map(operator.mul, cofactor_signs, reversed(minors)))
+            d = list(map(operator.add, partials[: 2 * n : 2], partials[1 : 2 * n : 2]))
+            yield top, d, [sum(partials[k : k + share]) for k in range(2 * n, len(partials), share)]
             return
-        step, cols = laplace[depth], columns[depth]
-        for row, signed in levels[depth]:
-            entry, minor = signed.__getitem__, minors.__getitem__
-            below = [sum(map(operator.mul, map(entry, js), map(minor, ks))) for js, ks in step]
-            partials_below = list(map(operator.mul, partials, map(row.__getitem__, cols)))
-            yield from descend(depth + 1, top + (row,), below, partials_below)
+        cols = columns[depth]
+        for row in levels[depth]:
+            below = list(map(operator.mul, partials, map(row.__getitem__, cols)))
+            yield from descend(depth + 1, top + (row,), below)
 
-    return descend(0, (), [1], [sign for _, sign in terms])  # the minor on the empty subset is 1
+    return descend(0, (), [sign for _, sign in terms])
 
 
 # ---------------------------------------------------------------------------

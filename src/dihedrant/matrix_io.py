@@ -71,9 +71,7 @@ def parse_matrix_csv(text: str) -> ExactMatrix:
     except csv.Error as exc:
         raise MatrixFormatError(f"invalid CSV: {exc}") from None
     rows = []
-    for i, cells in enumerate(records, start=1):
-        if not cells:
-            continue
+    for i, cells in enumerate(filter(None, records), start=1):  # blank lines are no rows
         row = []
         for j, cell in enumerate(cells, start=1):
             try:
@@ -96,7 +94,8 @@ def _to_square_matrix(rows: list[list[int | Fraction]]) -> ExactMatrix:
 def load_matrix(path: str | Path, fmt: str | None = None) -> ExactMatrix:
     """Load a matrix file, picking the format from the extension.
 
-    ``fmt`` ("json" or "csv") overrides the auto-detection.
+    ``fmt`` ("json" or "csv") overrides the auto-detection.  The file is
+    read as UTF-8, with or without a leading byte-order mark.
     """
     path = Path(path)
     if fmt is None:
@@ -107,5 +106,5 @@ def load_matrix(path: str | Path, fmt: str | None = None) -> ExactMatrix:
             )
     if fmt not in ("json", "csv"):
         raise MatrixFormatError(f"unknown format {fmt!r}; expected json or csv")
-    text = path.read_text(encoding="utf-8")
+    text = path.read_text(encoding="utf-8-sig")
     return parse_matrix_json(text) if fmt == "json" else parse_matrix_csv(text)

@@ -382,8 +382,9 @@ def test_search_budget_weighs_the_order(monkeypatch):
 
 
 def test_the_space_check_bounds_the_walk(monkeypatch):
-    # the exhaustive walk carries sum over l < n of base**(n*l) * C(n, l) * l minor products,
-    # never more than the base**(n*n) matrices of its space, so the space check alone bounds it
+    # the exhaustive walk multiplies n! + 2n partial products at each of its base**(n*l) nodes of
+    # depth l = 1..n-1, never more than the n * base**(n*n) products of the leaf scan's one dot
+    # product per matrix, so the space check alone bounds it
     budget = analysis.SEARCH_BUDGET
     admitted = {}  # the largest base the budget admits at each order, from two values up
     for n in itertools.count(1):
@@ -398,8 +399,8 @@ def test_the_space_check_bounds_the_walk(monkeypatch):
     assert admitted == {1: 2_000_000, 2: 37, 3: 5, 4: 2}  # the README's list
     for n in range(2, len(admitted) + 1):  # at n = 1 there are no top rows, so nothing to walk
         for base in range(2, admitted[n] + 1):
-            walk = sum(base ** (n * l) * math.comb(n, l) * l for l in range(n))
-            assert walk <= base ** (n * n), (n, base)
+            walk = sum(base ** (n * l) * (math.factorial(n) + 2 * n) for l in range(1, n))
+            assert walk <= n * base ** (n * n), (n, base)
     # and the search admits exactly these spaces, refusing the next base up before any walk
     monkeypatch.setattr(analysis, "_exhaustive_hits", lambda n, values, require_nonzero: [])
     for n, top in {**admitted, 5: 1}.items():

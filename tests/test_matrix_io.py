@@ -89,6 +89,11 @@ def test_csv_parsing():
 def test_csv_errors_name_the_position():
     with pytest.raises(MatrixFormatError, match="row 2, column 2"):
         parse_matrix_csv("1,2\n3,oops\n")
+    # a blank line is no row, for the entry error and the shape error alike
+    with pytest.raises(MatrixFormatError, match="row 2, column 2"):
+        parse_matrix_csv("1,2\n\n3,x\n")
+    with pytest.raises(MatrixFormatError, match="row 2 has 1 entries"):
+        parse_matrix_csv("1,2\n\n3\n")
 
 
 def test_csv_cell_past_the_field_limit_is_a_format_error():
@@ -111,6 +116,14 @@ def test_load_matrix_detects_format(tmp_path):
     expected = ExactMatrix([[1, 2], [3, 4]])
     assert load_matrix(tmp_path / "m.json") == expected
     assert load_matrix(tmp_path / "m.csv") == expected
+
+
+def test_load_matrix_accepts_a_byte_order_mark(tmp_path, fixtures_dir):
+    minus15 = load_matrix(fixtures_dir / "minus15.json")
+    for name in ("minus15.json", "minus15.csv"):
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + (fixtures_dir / name).read_bytes())
+        assert load_matrix(path) == minus15
 
 
 def test_load_matrix_format_override(tmp_path):
