@@ -568,39 +568,28 @@ FORK_WEIGHT = 15_000
 def search_dih_equals_det(config: SearchConfig, require_nonzero: bool = False) -> list[IntRows]:
     """All integer matrices in the configured space with dihedrant == determinant.
 
-    Each hit is returned as the integer rows the search already holds, one
-    row tuple per hit; a caller who wants a matrix writes ``ExactMatrix(hit)``.
+    Each hit is the integer rows the search holds; ``ExactMatrix(hit)`` makes it a matrix.
 
-    Random mode draws ``sample_count`` integer matrices (per-index seeding;
-    duplicates stay as sampled) and evaluates both functionals on each, so
-    the hits among the first k samples do not depend on ``sample_count``.
-    Exhaustive mode returns every hit with entries in ``entry_range``, in
-    row-major odometer order; a one-value range is its one matrix, which is
-    evaluated like a sample.  With two or more values, both functionals are
-    linear in the last row r, so with the top n-1 rows fixed, dih = d.r and
-    det = c.r, and the hits are the r in the box with (d - c).r = 0 (and
-    d.r != 0 under ``require_nonzero``); each prefix tests every r of the
-    box in turn, d.r only where (d - c).r = 0.  A depth-first walk over the
-    prefixes carries one list of signed partial products, one for each of
-    dih's 2n terms and det's n!, and each new row multiplies every partial
-    by its entry in the term's column; d[j] and c[j] sum the partials of the
-    terms that take column j from the last row.
+    Random mode draws ``sample_count`` integer matrices (per-index seeding; duplicates
+    stay as sampled) and evaluates both functionals on each, so the hits among the first
+    k samples do not depend on ``sample_count``.  Exhaustive mode returns every hit with
+    entries in ``entry_range``, in row-major odometer order; a one-value range is its one
+    matrix, evaluated like a sample.  Over two or more values, with the top n-2 rows
+    fixed, dih = r.(D.x) and det = r.(C.x) for x the row n-1 and r the last row, so for
+    each x the hits are the r with (E.x).r = 0, E = D - C (and (D.x).r != 0 under
+    ``require_nonzero``); the zero set of each distinct E.x is found once.
 
-    Before any work the search is weighed against ``SEARCH_BUDGET``: the
-    walk by the base**(n*n) matrices of its space, and the evaluated
-    matrices by their count, each of order n counting as max(n, 4)**3 / 4**3
-    of order 4 (a search as at least one).
+    Before any work the search is weighed against ``SEARCH_BUDGET``: the walk by the
+    base**(n*n) matrices of its space, and the evaluated matrices by their count, each of
+    order n counting as max(n, 4)**3 / 4**3 of order 4 (a search as at least one).
 
-    A random search splits its sample indices into contiguous spans, one per
-    usable CPU (``os.sched_getaffinity``, else ``os.cpu_count``), but no more
-    than its weight (``sample_count * max(n, 4)**3``) holds ``FORK_WEIGHT``s,
-    the measured weight below which a fork costs more than it saves.  This
-    process runs the first span and a forked child each other one; every
-    sample index keeps its own stream, so the hits, joined in span order, are
-    those of one process.  Without ``os.fork``, with other threads running,
-    or below the threshold, the one span runs here.  Nothing selects this
-    but the weight and the CPUs: there is no flag.  Spans a tracer opens
-    inside the children are lost to it.
+    A random search splits its sample indices into contiguous spans, one per usable CPU
+    (``os.sched_getaffinity``, else ``os.cpu_count``) but at most one per ``FORK_WEIGHT``
+    of its weight, ``sample_count * max(n, 4)**3``.  This process runs the first span and
+    a forked child each other one; each sample index keeps its own stream, so the hits,
+    joined in span order, are those of one process.  Without ``os.fork``, with other
+    threads running, or below the threshold, the one span runs here; there is no flag.
+    A tracer loses the spans opened in the children.
     """
     n = config.n
     lo, hi = config.entry_range
@@ -721,38 +710,49 @@ def _fork_span(span_hits: Callable[[int, int], list[IntRows]], start: int, stop:
 def _exhaustive_hits(n: int, values: range, require_nonzero: bool) -> list[IntRows]:
     """The exhaustive search of ``search_dih_equals_det``, one prefix of n-1 rows at a time."""
     lasts = list(itertools.product(values, repeat=n))  # the walk's rows too, so hits share them
+    zero_sets = {}  # e -> the last rows r with e.r = 0, in odometer order
     hits = []
-    for top, d, c in _last_row_coefficients([lasts] * (n - 1)):
-        e = list(map(operator.sub, d, c))
-        hits += [top + (last,) for last in lasts if not sum(map(operator.mul, e, last))
-                 and (not require_nonzero or sum(map(operator.mul, d, last)))]
+    for top, D, E in _last_row_coefficients(n, [lasts] * (n - 2)):
+        for row in lasts if n > 1 else [(1,)]:  # n = 1 has no row n-1: D and E act on (1,)
+            e = tuple([sum(map(operator.mul, coeffs, row)) for coeffs in E])
+            zeros = zero_sets.get(e)
+            if zeros is None:  # e.r for every r of the box, a column at a time, in odometer order
+                dots = [0]
+                for coeff in e:
+                    steps = [coeff * value for value in values]
+                    dots = [dot + step for dot in dots for step in steps]
+                zeros = zero_sets[e] = list(itertools.compress(lasts, map(operator.not_, dots)))
+            if require_nonzero:
+                d = [sum(map(operator.mul, coeffs, row)) for coeffs in D]
+                zeros = [r for r in zeros if sum(map(operator.mul, d, r))]
+            prefix = top + (row,) if n > 1 else ()
+            hits += [prefix + (r,) for r in zeros]
     return hits
 
 
-def _last_row_coefficients(
-    levels: list[list[tuple[int, ...]]],
-) -> Iterator[tuple[IntRows, list[int], list[int]]]:
-    """Each top (row i from levels[i], in odometer order) with its d and c: dih = d.r and det = c.r."""
-    n = len(levels) + 1
-    # dih's 2n terms, then det's n!, each group sorted by the column a term takes from the last
-    # row: 2 and (n-1)! terms to a column.  The space check refuses every walk from n = 5 on, so
-    # a node carries at most 8 + 24 partial products.
-    groups = (dihedral_terms(n), [(p.images, sgn(p)) for p in symmetric_group(n)])
-    terms = [term for group in groups for term in sorted(group, key=lambda term: term[0][-1])]
-    columns = [[images[depth] - 1 for images, _ in terms] for depth in range(n - 1)]
-    share = math.factorial(n - 1)
+def _last_row_coefficients(n: int, levels: list[list[tuple[int, ...]]]) -> Iterator[tuple[IntRows, list, list]]:
+    """Each top of n-2 rows (row i from levels[i], in odometer order) with its D and E = D - C.
 
-    def descend(depth: int, top: IntRows, partials: list[int]):
-        if depth == n - 1:  # the partials started at each term's sign
-            d = list(map(operator.add, partials[: 2 * n : 2], partials[1 : 2 * n : 2]))
-            yield top, d, [sum(partials[k : k + share]) for k in range(2 * n, len(partials), share)]
-            return
-        cols = columns[depth]
-        for row in levels[depth]:
-            below = list(map(operator.mul, partials, map(row.__getitem__, cols)))
-            yield from descend(depth + 1, top + (row,), below)
-
-    return descend(0, (), [sign for _, sign in terms])
+    With the top fixed, dih = r.(D.x) and det = r.(C.x) for x the row n-1 and r the last row: D[a][b]
+    sums the partials of dih's terms that take column a from r and b from x, and C[a][b] those of det's.
+    """
+    # At n = 1, which has no row n-1, images[n - 2] is images[-1] = 1: D = [(0,)] and E = [(-1,)] act
+    # on (1,).  The space check refuses every walk from n = 5 on: a top carries at most 8 + 24 partials.
+    terms = [*dihedral_terms(n), *((p.images, -sgn(p)) for p in symmetric_group(n))]  # -sgn: D + det's is E
+    cells = [(images[-1] - 1) * n + images[n - 2] - 1 for images, _ in terms]
+    tops = [((), [sign for _, sign in terms])]  # each with its partials, which start at the terms' signs
+    for depth, level in enumerate(levels):  # each new row multiplies a term's partial by its entry
+        columns = [images[depth] - 1 for images, _ in terms]
+        tops = [(top + (row,), list(map(operator.mul, partials, map(row.__getitem__, columns))))
+                for top, partials in tops for row in level]
+    for top, partials in tops:
+        flat = [0] * (n * n)
+        for cell, partial in zip(cells[: 2 * n], partials):
+            flat[cell] += partial
+        D = list(zip(*[iter(flat)] * n))
+        for cell, partial in zip(cells[2 * n :], partials[2 * n :]):
+            flat[cell] += partial
+        yield top, D, list(zip(*[iter(flat)] * n))
 
 
 # ---------------------------------------------------------------------------

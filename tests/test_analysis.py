@@ -10,6 +10,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dihedrant import analysis
 from dihedrant.analysis import (
@@ -382,9 +383,11 @@ def test_search_budget_weighs_the_order(monkeypatch):
 
 
 def test_the_space_check_bounds_the_walk(monkeypatch):
-    # the exhaustive walk multiplies n! + 2n partial products at each of its base**(n*l) nodes of
-    # depth l = 1..n-1, never more than the n * base**(n*n) products of the leaf scan's one dot
-    # product per matrix, so the space check alone bounds it
+    # the exhaustive search multiplies n! + 2n partial products at each of its base**(n*l) tops of
+    # depth l = 1..n-2; n*n products for E.x and n*n for D.x at each of the base**(n*(n-1)) pairs of
+    # a top and a row x (the one constant row at n = 1); and at most base**n * n for each zero set,
+    # of which it computes at most one per pair.  That never exceeds 2n * base**(n*n) products,
+    # so the space check alone bounds it
     budget = analysis.SEARCH_BUDGET
     admitted = {}  # the largest base the budget admits at each order, from two values up
     for n in itertools.count(1):
@@ -397,10 +400,12 @@ def test_the_space_check_bounds_the_walk(monkeypatch):
             top -= 1
         admitted[n] = top
     assert admitted == {1: 2_000_000, 2: 37, 3: 5, 4: 2}  # the README's list
-    for n in range(2, len(admitted) + 1):  # at n = 1 there are no top rows, so nothing to walk
-        for base in range(2, admitted[n] + 1):
-            walk = sum(base ** (n * l) * (math.factorial(n) + 2 * n) for l in range(1, n))
-            assert walk <= n * base ** (n * n), (n, base)
+    for n in admitted:
+        # at n = 1 both sides are linear in base, so its two ends cover every base between
+        for base in (2, admitted[1]) if n == 1 else range(2, admitted[n] + 1):
+            walk = sum(base ** (n * l) * (math.factorial(n) + 2 * n) for l in range(1, n - 1))
+            scan = base ** (n * (n - 1)) * (2 * n * n + base**n * n)
+            assert walk + scan <= 2 * n * base ** (n * n), (n, base)
     # and the search admits exactly these spaces, refusing the next base up before any walk
     monkeypatch.setattr(analysis, "_exhaustive_hits", lambda n, values, require_nonzero: [])
     for n, top in {**admitted, 5: 1}.items():
@@ -442,9 +447,26 @@ def test_exhaustive_search_at_order_two_lists_the_singular_matrices():
 
 def test_exhaustive_hits_share_their_last_rows():
     config = SearchConfig(n=4, entry_range=(1, 2), mode=SearchMode.EXHAUSTIVE)
-    hits = search_dih_equals_det(config)
-    assert len(hits) == 20_952
-    assert len({id(hit[-1]) for hit in hits}) <= 2**4
+    for require_nonzero, count in ((False, 20_952), (True, 3136)):
+        hits = search_dih_equals_det(config, require_nonzero)
+        assert len(hits) == count
+        assert len({id(hit[-1]) for hit in hits}) <= 2**4
+
+
+@st.composite
+def small_spaces(draw):
+    """(n, lo, hi) with n <= 3 inside [-3, 3], at most three values at n = 3 so the oracle stays fast."""
+    n = draw(st.integers(1, 3))
+    lo = draw(st.integers(-3, 3))
+    return n, lo, draw(st.integers(lo, min(3, lo + (6, 6, 2)[n - 1])))
+
+
+@settings(deadline=None)
+@given(small_spaces(), st.booleans())
+def test_exhaustive_search_is_the_plain_enumerator_on_drawn_spaces(space, require_nonzero):
+    n, lo, hi = space
+    config = SearchConfig(n=n, entry_range=(lo, hi), mode=SearchMode.EXHAUSTIVE)
+    assert search_dih_equals_det(config, require_nonzero) == plain_search(n, lo, hi, require_nonzero)
 
 
 def test_exhaustive_search_runs_no_elimination(monkeypatch, forks):
@@ -458,25 +480,35 @@ def test_exhaustive_search_runs_no_elimination(monkeypatch, forks):
 
 
 @pytest.mark.parametrize("n", range(1, 8))
-def test_laplace_carry_matches_elimination(n):
+def test_two_row_coefficients_match_elimination(n):
+    def times(M, x):
+        return [sum(a * b for a, b in zip(coeffs, x)) for coeffs in M]
+
+    if n == 1:  # no row n-1: dih = 0 * r and det = 1 * r, so D = [0] and E = D - C = [-1] act on (1,)
+        assert list(analysis._last_row_coefficients(1, [])) == [((), [(0,)], [(-1,)])]
+        return
     rng = Random(n)
-    tops = [tuple(tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(n - 1)) for _ in range(20)]
+    prefixes = [tuple(tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(n - 1)) for _ in range(20)]
     deficient = []
-    for top in tops[:10] if n > 1 else ():
+    for prefix in prefixes[:10]:
         # one row an integer combination of the others (a zero row at n = 2): rank below n - 1
         k = rng.randrange(n - 1)
-        others = top[:k] + top[k + 1 :]
+        others = prefix[:k] + prefix[k + 1 :]
         coeffs = [rng.randint(-3, 3) for _ in others]
         combined = tuple(sum(c * row[col] for c, row in zip(coeffs, others)) for col in range(n))
-        deficient.append(top[:k] + (combined,) + top[k + 1 :])
-    for top in tops + deficient:
-        [(walked, d, c)] = analysis._last_row_coefficients([[row] for row in top])
-        assert walked == top
-        minors = [echelon([[*row[:j], *row[j + 1 :]] for row in top])[1] for j in range(n)]
+        deficient.append(prefix[:k] + (combined,) + prefix[k + 1 :])
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    for prefix in prefixes + deficient:
+        *top, x = prefix  # the top n-2 rows are walked; x is row n-1
+        [(walked, D, E)] = analysis._last_row_coefficients(n, [[row] for row in top])
+        assert walked == tuple(top)
+        assert len(D) == len(E) == n and all(len(row) == n for row in D + E)
+        d, e = times(D, x), times(E, x)
+        assert d == [dihedrant(ExactMatrix(prefix + (unit,))) for unit in units]
+        minors = [echelon([[*row[:j], *row[j + 1 :]] for row in prefix])[1] for j in range(n)]
+        c = [dj - ej for dj, ej in zip(d, e)]
         assert c == [(-1) ** (n - 1 + j) * minor for j, minor in enumerate(minors)]
-        units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-        assert d == [dihedrant(ExactMatrix(top + (unit,))) for unit in units]
-        if top in deficient:
+        if prefix in deficient:
             assert c == [0] * n
 
 
