@@ -44,7 +44,7 @@ from fractions import Fraction
 from random import Random
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
-from .functionals import dihedral_terms, dihedrant, elimination_det, leibniz_det
+from .functionals import dihedral_terms, dihedrant, elimination_det, leibniz_det, symmetric_terms
 from .matrix import ExactMatrix, echelon, signed_product_sum
 from .matrix_io import matrix_to_json
 from .perm import (
@@ -57,7 +57,6 @@ from .perm import (
     rotation_perm,
     sgn,
     sig,
-    symmetric_group,
 )
 from .schemes import corrected_scheme_4x4, scheme_signs_within_D4
 
@@ -738,7 +737,7 @@ def _last_row_coefficients(n: int, levels: list[list[tuple[int, ...]]]) -> Itera
     """
     # At n = 1, which has no row n-1, images[n - 2] is images[-1] = 1: D = [(0,)] and E = [(-1,)] act
     # on (1,).  The space check refuses every walk from n = 5 on: a top carries at most 8 + 24 partials.
-    terms = [*dihedral_terms(n), *((p.images, -sgn(p)) for p in symmetric_group(n))]  # -sgn: D + det's is E
+    terms = [*dihedral_terms(n), *((images, -sign) for images, sign in symmetric_terms(n))]  # -sgn: D + det's is E
     cells = [(images[-1] - 1) * n + images[n - 2] - 1 for images, _ in terms]
     tops = [((), [sign for _, sign in terms])]  # each with its partials, which start at the terms' signs
     for depth, level in enumerate(levels):  # each new row multiplies a term's partial by its entry

@@ -53,11 +53,15 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.images)
+        images = tuple(self.images)  # a list would leave the permutation unhashable and unequal to its tuple
+        n = len(images)
         if n < 1:
             raise ValueError("permutation must act on at least one point")
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a bijection of 1..{n}: {self.images}")
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in images):
+            raise ValueError(f"images must be ints: {images}")
+        if sorted(images) != list(range(1, n + 1)):
+            raise ValueError(f"not a bijection of 1..{n}: {images}")
+        object.__setattr__(self, "images", images)
 
     @property
     def n(self) -> int:
@@ -158,8 +162,14 @@ def symmetric_group(n: int) -> Iterator[Permutation]:
             f"n={n} exceeds the symmetric group cap of {DEFAULT_SYMMETRIC_CAP}"
             f" (n! would be {math.factorial(n)})"
         )
-    for images in itertools.permutations(range(1, n + 1)):
-        yield Permutation(images)
+    yield from map(_bijection, itertools.permutations(range(1, n + 1)))
+
+
+def _bijection(images: tuple[int, ...]) -> Permutation:
+    """The Permutation of images that are a bijection by construction, without re-sorting them."""
+    perm = object.__new__(Permutation)
+    object.__setattr__(perm, "images", images)
+    return perm
 
 
 def compose(tau: Permutation, sigma: Permutation) -> Permutation:

@@ -7,9 +7,10 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from dihedrant.functionals import dihedrant, elimination_det, leibniz_det
+from dihedrant import functionals, matrix
+from dihedrant.functionals import dihedrant, elimination_det, leibniz_det, symmetric_terms
 from dihedrant.matrix import ExactMatrix
-from dihedrant.perm import Permutation, ResourceLimitError, dihedral_group, sig
+from dihedrant.perm import Permutation, ResourceLimitError, dihedral_group, sgn, sig, symmetric_group
 
 from dihedrant.schemes import false_sarrus_scheme
 
@@ -163,6 +164,28 @@ def test_leibniz_basics():
         assert leibniz_det(ExactMatrix([[a, b], [c, d]])) == a * d - b * c
     assert leibniz_det(TWOS_ONES) == 2
     assert leibniz_det(ExactMatrix([["1/2", "1/3"], ["1/5", "1/7"]])) == Fraction(1, 14) - Fraction(1, 15)
+
+
+def test_symmetric_terms_match_the_cycle_walk():
+    for n in range(1, 9):
+        assert list(symmetric_terms(n)) == [(p.images, sgn(p)) for p in symmetric_group(n)]
+
+
+def test_leibniz_det_never_reaches_the_kernel_it_checks(monkeypatch):
+    rng = Random(61)
+    cases = [ExactMatrix(random_int_rows(rng, n)) for n in range(1, 7)]
+    cases += [ExactMatrix(random_rational_rows(rng, n, n)) for n in range(1, 7)]
+    expected = [gauss_det(A._grid) for A in cases]
+
+    def refuse(*args):
+        raise AssertionError("leibniz_det reached the clearing step or the elimination kernel")
+
+    monkeypatch.setattr(matrix, "echelon", refuse)
+    monkeypatch.setattr(functionals, "echelon", refuse)
+    monkeypatch.setattr(ExactMatrix, "_cleared", refuse)
+    with pytest.raises(AssertionError):  # the patches bite
+        elimination_det(cases[-1])
+    assert [leibniz_det(A) for A in cases] == expected
 
 
 def test_leibniz_respects_the_cap():

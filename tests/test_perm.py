@@ -37,6 +37,20 @@ def test_permutation_rejects_non_bijections():
         Permutation(())
 
 
+@pytest.mark.parametrize("images", [(2.0, 1.0), (True,), (2, True), (1, 2.0)])
+def test_permutation_rejects_images_that_are_not_ints(images):
+    # each passed the bijection check, then failed sgn or permute_columns with a bare TypeError
+    with pytest.raises(ValueError, match="must be ints"):
+        Permutation(images)
+
+
+def test_permutation_stores_its_images_as_a_tuple():
+    s = Permutation([2, 1])
+    assert s.images == (2, 1) and type(s.images) is tuple
+    assert s == Permutation((2, 1)) and hash(s) == hash(Permutation((2, 1)))
+    assert sgn(s) == -1
+
+
 def test_permutation_is_one_based():
     s = Permutation((3, 1, 2))
     assert s(1) == 3 and s(2) == 1 and s(3) == 2
@@ -140,6 +154,13 @@ def test_symmetric_group_enumeration():
     perms = [p.images for p in symmetric_group(4)]
     assert len(perms) == 24 and len(set(perms)) == 24
     assert perms == sorted(perms)  # documented lexicographic order
+
+
+def test_symmetric_group_yields_what_the_validated_constructor_builds():
+    for n in range(1, 8):
+        for p in symmetric_group(n):
+            checked = Permutation(p.images)
+            assert p == checked and hash(p) == hash(checked) and type(p.images) is tuple
 
 
 def test_symmetric_group_cap():
