@@ -22,6 +22,7 @@ from .analysis import (
     corner_pattern_mask,
     rank2_multilinear_expansion,
     run_claim,
+    run_claims,
     search_dih_equals_det,
     transposition_count_reflection,
     transposition_count_rotation,
@@ -90,6 +91,7 @@ __all__ = [
     "render_scheme_text",
     "rotation_perm",
     "run_claim",
+    "run_claims",
     "scheme_signs_within_D4",
     "search_dih_equals_det",
     "sgn",

@@ -27,10 +27,20 @@ The registry maps claim ids to runners (see ``claim_ids`` / ``run_claim``):
     ex:expansion      rank-2 multilinear expansion has exactly 2^n terms
     ex:corner         corner-pattern matrices: dih and det match their
                       two-term closed forms; dih == det tallied per order
+
+``run_claims`` runs several in one span per usable CPU (``os.sched_getaffinity``, else
+``os.cpu_count``), at most one per claim: this process runs one span and a forked child
+each other one.  The spans pull claims from one queue, the slowest (``oracle:elim``,
+``thm:antitri``, ``ex:corner``) first, and the reports come back in the order asked, so
+the output does not depend on the CPUs.  Without ``os.fork``, with other threads running
+or for one claim, every claim runs in this process; there is no flag.  A tracer loses
+the claims run in a child: under ``bench/run.py --trace 1`` their ``analysis.claim.*_s``
+read 0, as the forked spans of a random search are lost.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import marshal
@@ -38,7 +48,7 @@ import math
 import operator
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from random import Random
@@ -617,13 +627,9 @@ def search_dih_equals_det(config: SearchConfig, require_nonzero: bool = False) -
         samples = _draws(config.seed, stop - start, lambda rng: _square(rng, n, lo, hi), start)
         return _matrix_hits(samples, n, require_nonzero)
 
-    spans = 1
-    threading = sys.modules.get("threading")
-    if hasattr(os, "fork") and (threading is None or threading.active_count() == 1):  # fork only a lone thread
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        spans = max(1, min(cpus, count, weight // FORK_WEIGHT))
+    spans = _fork_spans(min(count, weight // FORK_WEIGHT))
     bounds = [count * k // spans for k in range(spans + 1)]
-    return _joined_spans(span_hits, list(zip(bounds, bounds[1:])))
+    return _joined_spans([functools.partial(span_hits, *span) for span in zip(bounds, bounds[1:])])
 
 
 def _matrix_hits(samples: Iterable[IntRows], n: int, require_nonzero: bool) -> list[IntRows]:
@@ -637,18 +643,31 @@ def _matrix_hits(samples: Iterable[IntRows], n: int, require_nonzero: bool) -> l
     return hits
 
 
-def _joined_spans(span_hits: Callable[[int, int], list[IntRows]], spans: list[tuple[int, int]]) -> list[IntRows]:
-    """span_hits over each (start, stop) span, joined in span order.
+def _fork_spans(most: int) -> int:
+    """How many spans to run at once: one per usable CPU, at most ``most`` and at least one.
 
-    This process runs the first span; each other span runs in a forked child,
-    which sends back its hits (or its exception) over a pipe and leaves by
-    ``os._exit``.  Every child is reaped before this returns or raises.
+    The CPUs are ``os.sched_getaffinity``'s, else ``os.cpu_count``'s.  Without ``os.fork``, or
+    with other threads running, which a forked child would not have, it is one.
+    """
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(cpus, most))
+
+
+def _joined_spans(spans: list[Callable[[], list[T]]]) -> list[T]:
+    """The lists that the spans return, joined in span order.
+
+    This process runs the first span; each other span runs in a forked child, which sends back
+    its list (it must marshal) or its exception over a pipe and leaves by ``os._exit``.  Every
+    child is reaped before this returns or raises.
     """
     children = []  # [pid, read end] of each forked span, in span order; None once reaped or closed
     try:
-        for start, stop in spans[1:]:
-            children.append(_fork_span(span_hits, start, stop))
-        hits = span_hits(*spans[0])
+        for span in spans[1:]:
+            children.append(_fork_span(span))
+        joined = spans[0]()
         for child in children:
             pid, read = child
             child[1] = None  # the file object owns the read end from here, and closes it
@@ -657,14 +676,14 @@ def _joined_spans(span_hits: Callable[[int, int], list[IntRows]], spans: list[tu
             _, status = os.waitpid(pid, 0)
             child[0] = None
             if not message:
-                raise ChildProcessError(f"a search span's process ended with wait status {status} and sent no hits")
+                raise ChildProcessError(f"a span's process ended with wait status {status} and sent nothing")
             ok, payload = marshal.loads(message)
             if not ok:
                 import pickle
 
                 raise pickle.loads(payload)
-            hits += payload
-        return hits
+            joined += payload
+        return joined
     finally:
         for pid, read in children:
             if read is not None:
@@ -676,8 +695,8 @@ def _joined_spans(span_hits: Callable[[int, int], list[IntRows]], spans: list[tu
                 os.waitpid(pid, 0)
 
 
-def _fork_span(span_hits: Callable[[int, int], list[IntRows]], start: int, stop: int) -> list:
-    """Fork a child that runs span_hits(start, stop) and writes the outcome to a pipe; [pid, read end]."""
+def _fork_span(span: Callable[[], list]) -> list:
+    """Fork a child that runs span() and writes the outcome to a pipe; [pid, read end]."""
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -689,14 +708,14 @@ def _fork_span(span_hits: Callable[[int, int], list[IntRows]], start: int, stop:
         try:
             os.close(read)
             try:
-                message = marshal.dumps((True, span_hits(start, stop)))
+                message = marshal.dumps((True, span()))
             except BaseException as exc:  # sent to the parent, which raises it as a serial run would
                 import pickle
 
                 try:
                     payload = pickle.dumps(exc)
                 except Exception:
-                    payload = pickle.dumps(RuntimeError(f"search span raised {exc!r}"))
+                    payload = pickle.dumps(RuntimeError(f"a forked span raised {exc!r}"))
                 message = marshal.dumps((False, payload))
             with open(write, "wb") as pipe:
                 pipe.write(message)
@@ -804,11 +823,54 @@ def claim_ids() -> list[str]:
     return list(CLAIMS)
 
 
+# Most trials one claim may run.  One trial of every claim together takes about 3 ms on one CPU
+# (Python 3.11), so verify all at the limit takes about 30 s there; the largest random search
+# SEARCH_BUDGET admits, 2,000,000 samples of order 4 at about 27 us each, takes about 55 s.
+MAX_TRIALS = 10_000
+
+# The slowest claims by the bench's analysis.claim.*_s: 0.68, 0.10 and 0.12 s of 1.05 s traced at
+# 200 trials.  The queue hands them out first, so no span is left running a long claim alone at the end.
+_HEAVY_CLAIMS = ("oracle:elim", "thm:antitri", "ex:corner")
+
+
 def run_claim(claim_id: str, seed: int = 0, trials: int = 200) -> list[TheoremReport]:
-    if claim_id not in CLAIMS:
-        raise KeyError(claim_id)
+    return run_claims([claim_id], seed, trials)
+
+
+def run_claims(ids: list[str], seed: int = 0, trials: int = 200) -> list[TheoremReport]:
+    """The reports of the claims in ``ids``, in that order; the module docstring says how they run.
+
+    Every id, ``trials`` (1 to ``MAX_TRIALS``) and ``seed`` are checked before any claim runs.
+    Each span pulls claim positions, one byte each, from one pipe until it is empty, and sends
+    back (position, report fields) pairs; more than 256 claims run in this process.
+    """
+    unknown = next((claim_id for claim_id in ids if claim_id not in CLAIMS), None)
+    if unknown is not None:
+        raise KeyError(unknown)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    return CLAIMS[claim_id].run(seed, trials)
+    if trials > MAX_TRIALS:
+        raise ResourceLimitError(f"{trials} trials exceed the limit of {MAX_TRIALS} per claim")
+    runs = [CLAIMS[claim_id].run for claim_id in ids]
+    spans = _fork_spans(len(ids)) if len(ids) <= 256 else 1  # a queued position is one byte
+    if spans == 1:
+        return [report for run in runs for report in run(seed, trials)]
+    rank = {claim_id: k for k, claim_id in enumerate(_HEAVY_CLAIMS)}
+    order = sorted(range(len(ids)), key=lambda i: rank.get(ids[i], len(rank)))
+
+    def pulled() -> list[tuple[int, list[tuple]]]:
+        done = []
+        while position := os.read(queue, 1):
+            done.append((position[0], [astuple(report) for report in runs[position[0]](seed, trials)]))
+        return done
+
+    queue, write = os.pipe()
+    try:
+        with open(write, "wb") as pipe:  # closed before any fork, so every span sees the end of the queue
+            pipe.write(bytes(order))
+        fields = dict(_joined_spans([pulled] * spans))
+    finally:
+        os.close(queue)
+    return [TheoremReport(*report) for i in range(len(ids)) for report in fields[i]]

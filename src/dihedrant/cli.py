@@ -112,9 +112,7 @@ def _cmd_verify(args) -> int:
         known = ", ".join(analysis.claim_ids())
         print(f"error: unknown claim {args.claim!r}; known claims: all, {known}", file=sys.stderr)
         return EXIT_USAGE
-    reports = []
-    for claim_id in ids:
-        reports.extend(analysis.run_claim(claim_id, seed=args.seed, trials=args.trials))
+    reports = analysis.run_claims(ids, seed=args.seed, trials=args.trials)
     for report in reports:
         print(report.render())
     failures = sum(r.failures for r in reports)

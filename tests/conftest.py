@@ -20,6 +20,8 @@ settings.register_profile("deterministic", derandomize=True, max_examples=60)
 settings.load_profile("deterministic")
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+# the usable CPUs, counted as the fork guard counts them
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import threading
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -36,6 +37,7 @@ from dihedrant.analysis import (
     corner_pattern_mask,
     rank2_multilinear_expansion,
     run_claim,
+    run_claims,
     search_dih_equals_det,
     transposition_count_reflection,
     transposition_count_rotation,
@@ -47,9 +49,7 @@ from dihedrant.matrix import ExactMatrix, echelon
 from dihedrant.matrix_io import matrix_to_json
 from dihedrant.perm import ResourceLimitError, reflection_perm, rotation_perm, sgn
 
-from conftest import plain_random_search, plain_search
-
-CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+from conftest import CPUS, plain_random_search, plain_search
 
 
 # ---------------------------------------------------------------------------
@@ -562,49 +562,80 @@ def test_random_search_equals_the_plain_sampler(n, require_nonzero, forks):
         assert bool(forks) == (count >= least and CPUS > 1 and hasattr(os, "fork")), count
 
 
+def _forked_search() -> list:
+    return search_dih_equals_det(_forked_config(), require_nonzero=True)
+
+
+def _forked_claims() -> list:
+    return run_claims(claim_ids(), seed=5, trials=5)
+
+
+# both callers of the fork-join, each large enough to fork; both draw their samples through analysis._draws
+forked_callers = pytest.mark.parametrize("forked", [_forked_search, _forked_claims], ids=["search", "claims"])
+
+
 @needs_two_spans
-def test_a_forked_search_leaves_no_child(forks):
-    assert search_dih_equals_det(_forked_config(), require_nonzero=True)
+@forked_callers
+def test_a_forked_search_leaves_no_child(forked, forks):
+    assert forked()
     assert forks
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 @needs_two_spans
-def test_an_exception_in_a_forked_span_reaches_the_caller(monkeypatch, forks):
+@forked_callers
+def test_an_exception_in_a_forked_span_reaches_the_caller(forked, monkeypatch, forks):
     parent = os.getpid()
-    kernel = analysis.signed_product_sum
+    draws = analysis._draws
+    paused = []
 
-    def fails_in_a_child(rows, terms):
+    def fails_in_a_child(*args):
         if os.getpid() != parent:
-            raise OverflowError("the kernel failed in a forked span")
-        return kernel(rows, terms)
+            raise OverflowError("the draws failed in a forked span")
+        if not paused:  # so every child pulls a claim before this process can empty the queue
+            paused.append(time.sleep(0.2))
+        return draws(*args)
 
-    monkeypatch.setattr(analysis, "signed_product_sum", fails_in_a_child)
-    with pytest.raises(OverflowError, match="the kernel failed in a forked span") as raised:
-        search_dih_equals_det(_forked_config())
+    monkeypatch.setattr(analysis, "_draws", fails_in_a_child)
+    with pytest.raises(OverflowError, match="the draws failed in a forked span") as raised:
+        forked()
     assert type(raised.value) is OverflowError and forks
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 @needs_two_spans
-def test_an_interrupted_search_kills_and_reaps_its_children(monkeypatch, forks):
+@forked_callers
+def test_an_interrupted_search_kills_and_reaps_its_children(forked, monkeypatch, forks):
     parent = os.getpid()
 
-    def interrupted(rows, terms):
+    def interrupted(*args):
         if os.getpid() == parent:
             raise KeyboardInterrupt
-        time.sleep(20)  # a child the search waits for, rather than kills, holds it this long
+        time.sleep(20)  # a child the caller waits for, rather than kills, holds it this long
         raise OverflowError("a forked span outlived the interrupt")
 
-    monkeypatch.setattr(analysis, "signed_product_sum", interrupted)
+    monkeypatch.setattr(analysis, "_draws", interrupted)
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        search_dih_equals_det(_forked_config())
+        forked()
     assert forks and time.monotonic() - start < 10
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@forked_callers
+def test_other_threads_keep_every_span_in_the_caller(forked, forks):
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)  # a forked child would not have this thread
+    other.start()
+    try:
+        assert forked()
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert forks == [] and not other.is_alive()
 
 
 def test_search_config_validation():
@@ -660,3 +691,37 @@ def test_registry_rejects_unknown_claims():
 
 def test_every_claim_is_named_in_the_module_docstring():
     assert all(f"    {claim_id} " in analysis.__doc__ for claim_id in CLAIMS)
+
+
+def test_run_claims_reports_as_each_claim_run_alone(forks):
+    ids = [*claim_ids(), "thm:AT"]  # a repeated id is run, and reported, twice
+    reports = run_claims(ids, seed=11, trials=5)
+    assert bool(forks) == (CPUS > 1 and hasattr(os, "fork"))
+    assert reports == [report for claim_id in ids for report in run_claim(claim_id, seed=11, trials=5)]
+
+
+@pytest.mark.parametrize("claims, forked", [(2, True), (256, True), (257, False)])
+def test_the_claim_queue_forks_up_to_one_byte_of_positions(monkeypatch, forks, claims, forked):
+    patched = dict(CLAIMS)
+    patched["test:cheap"] = analysis.Claim("test:cheap", lambda seed, trials: [TheoremReport("test:cheap", trials, 0)])
+    monkeypatch.setattr(analysis, "CLAIMS", patched)
+    assert run_claims(["test:cheap"] * claims, trials=3) == [TheoremReport("test:cheap", 3, 0)] * claims
+    assert bool(forks) == (forked and CPUS > 1 and hasattr(os, "fork"))
+
+
+@pytest.mark.parametrize("ids, seed, trials, error", [
+    (["thm:AT", "thm:unknown"], 0, 1, KeyError),
+    (["thm:AT", "oracle:elim"], 0, 0, ValueError),
+    (["thm:AT", "oracle:elim"], -1, 1, ValueError),
+    (["thm:AT", "oracle:elim"], 0, analysis.MAX_TRIALS + 1, ResourceLimitError),
+    (["thm:AT"], 0, 10**20, ResourceLimitError),
+])
+def test_run_claims_checks_its_arguments_before_any_claim_or_fork(monkeypatch, forks, ids, seed, trials, error):
+    ran = []
+    monkeypatch.setattr(analysis, "CLAIMS", {
+        claim_id: claim._replace(run=lambda seed, trials, claim_id=claim_id: ran.append(claim_id) or [])
+        for claim_id, claim in CLAIMS.items()
+    })
+    with pytest.raises(error):
+        run_claims(ids, seed, trials)
+    assert ran == [] and forks == []

@@ -13,11 +13,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dihedrant import analysis
 from dihedrant.cli import MAX_TABLE_ORDER, main
 from dihedrant.analysis import CLAIMS, TWOS_ONES_MATRIX
 from dihedrant.matrix_io import matrix_to_obj
 
-from conftest import FIXTURES, plain_search
+from conftest import CPUS, FIXTURES, plain_search
 
 README = FIXTURES.parent / "README.md"
 
@@ -204,6 +205,30 @@ def test_verify_rejects_fewer_than_one_trial(capsys, claim, trials):
     assert err == f"error: trials must be at least 1, got {trials}\n"
 
 
+def test_verify_runs_at_the_trials_limit(capsys):
+    code, out, err = run(capsys, "verify", "eq:degenerate", "--trials", str(analysis.MAX_TRIALS))
+    assert (code, err) == (0, "")
+    assert out == f"eq:degenerate  {2 * analysis.MAX_TRIALS}  0\nok: 1 reports, 0 failures\n"
+
+
+@pytest.mark.parametrize("trials", [analysis.MAX_TRIALS + 1, 99999999999999999999])
+def test_verify_refuses_trials_above_the_limit_before_any_work(capsys, monkeypatch, forks, trials):
+    monkeypatch.setattr(analysis, "CLAIMS", {claim_id: claim._replace(run=None) for claim_id, claim in CLAIMS.items()})
+    code, out, err = run(capsys, "verify", "all", "--trials", str(trials))
+    assert (code, out, forks) == (3, "", [])
+    assert err == f"error: {trials} trials exceed the limit of {analysis.MAX_TRIALS} per claim\n"
+
+
+def test_a_failing_claim_prints_as_in_one_process(capsys, monkeypatch, forks):
+    real = analysis.dihedrant
+    monkeypatch.setattr(analysis, "dihedrant", lambda A: real(A) + (A.n == 6))  # fails in every claim of order 6
+    forked = run(capsys, "verify", "all", "--seed", "7", "--trials", "20")
+    assert bool(forks) == (hasattr(os, "fork") and CPUS > 1)
+    monkeypatch.delattr(os, "fork", raising=False)  # as on a platform without fork: every claim runs here
+    assert forked == run(capsys, "verify", "all", "--seed", "7", "--trials", "20")
+    assert forked[0] == 1 and "  witness: " in forked[1]
+
+
 def test_verify_all_is_deterministic(capsys):
     code1, out1, _ = run(capsys, "verify", "all", "--seed", "7", "--trials", "20")
     code2, out2, _ = run(capsys, "verify", "all", "--seed", "7", "--trials", "20")
@@ -317,19 +342,32 @@ def test_search_random_mode_is_seeded(capsys):
     assert json.loads(out1) is not None
 
 
+def _pinned_and_unpinned(argv: list[str]) -> list[subprocess.CompletedProcess]:
+    """``dihedrant argv`` in a process on every usable CPU, then in one pinned to one CPU."""
+    pin = "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); assert len(os.sched_getaffinity(0)) == 1; "
+    env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")}
+    driver = "import os, sys; {}from dihedrant.cli import main; sys.exit(main(sys.argv[1:]))"
+    return [
+        subprocess.run([sys.executable, "-c", driver.format(pinned), *argv], env=env, capture_output=True, timeout=300)
+        for pinned in ("", pin)
+    ]
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
 def test_search_output_does_not_depend_on_the_cpus():
     # 3,001 samples of order 5 split across every usable CPU; pinned to one CPU they run in one process
     argv = ["search", "--n", "5", "--min", "-1", "--max", "1", "--count", "3001", "--seed", "3", "--require-nonzero"]
-    pin = "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); assert len(os.sched_getaffinity(0)) == 1; "
-    env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")}
-    driver = "import os, sys; {}from dihedrant.cli import main; sys.exit(main(sys.argv[1:]))"
-    procs = [
-        subprocess.run([sys.executable, "-c", driver.format(pinned), *argv], env=env, capture_output=True, timeout=300)
-        for pinned in ("", pin)
-    ]
+    procs = _pinned_and_unpinned(argv)
     assert [(proc.returncode, proc.stderr) for proc in procs] == [(0, b""), (0, b"")]
     assert procs[0].stdout == procs[1].stdout and procs[0].stdout.startswith(b"[[[")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_verify_output_does_not_depend_on_the_cpus():
+    # the 16 claims spread over every usable CPU; pinned to one CPU they run in one process
+    fingerprint = (FIXTURES.parent / "bench" / "verify_seed7.txt").read_bytes()
+    procs = _pinned_and_unpinned(["verify", "all", "--seed", "7"])
+    assert [(proc.returncode, proc.stderr, proc.stdout) for proc in procs] == [(0, b"", fingerprint)] * 2
 
 
 def test_search_exhaustive_budget_exits_three(capsys):
