@@ -43,17 +43,16 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import marshal
 import math
 import operator
 import os
-import sys
 from dataclasses import astuple, dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from random import Random
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
+from .forks import _fork_spans, _joined_spans
 from .functionals import dihedral_terms, dihedrant, elimination_det, leibniz_det, symmetric_terms
 from .matrix import ExactMatrix, echelon, signed_product_sum
 from .matrix_io import matrix_to_json
@@ -643,88 +642,6 @@ def _matrix_hits(samples: Iterable[IntRows], n: int, require_nonzero: bool) -> l
     return hits
 
 
-def _fork_spans(most: int) -> int:
-    """How many spans to run at once: one per usable CPU, at most ``most`` and at least one.
-
-    The CPUs are ``os.sched_getaffinity``'s, else ``os.cpu_count``'s.  Without ``os.fork``, or
-    with other threads running, which a forked child would not have, it is one.
-    """
-    threading = sys.modules.get("threading")
-    if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
-        return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return max(1, min(cpus, most))
-
-
-def _joined_spans(spans: list[Callable[[], list[T]]]) -> list[T]:
-    """The lists that the spans return, joined in span order.
-
-    This process runs the first span; each other span runs in a forked child, which sends back
-    its list (it must marshal) or its exception over a pipe and leaves by ``os._exit``.  Every
-    child is reaped before this returns or raises.
-    """
-    children = []  # [pid, read end] of each forked span, in span order; None once reaped or closed
-    try:
-        for span in spans[1:]:
-            children.append(_fork_span(span))
-        joined = spans[0]()
-        for child in children:
-            pid, read = child
-            child[1] = None  # the file object owns the read end from here, and closes it
-            with open(read, "rb") as pipe:
-                message = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            child[0] = None
-            if not message:
-                raise ChildProcessError(f"a span's process ended with wait status {status} and sent nothing")
-            ok, payload = marshal.loads(message)
-            if not ok:
-                import pickle
-
-                raise pickle.loads(payload)
-            joined += payload
-        return joined
-    finally:
-        for pid, read in children:
-            if read is not None:
-                os.close(read)
-            if pid is not None:
-                import signal
-
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-
-
-def _fork_span(span: Callable[[], list]) -> list:
-    """Fork a child that runs span() and writes the outcome to a pipe; [pid, read end]."""
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid == 0:  # the child: never return into the caller's stack, never flush the parent's stdio
-        try:
-            os.close(read)
-            try:
-                message = marshal.dumps((True, span()))
-            except BaseException as exc:  # sent to the parent, which raises it as a serial run would
-                import pickle
-
-                try:
-                    payload = pickle.dumps(exc)
-                except Exception:
-                    payload = pickle.dumps(RuntimeError(f"a forked span raised {exc!r}"))
-                message = marshal.dumps((False, payload))
-            with open(write, "wb") as pipe:
-                pipe.write(message)
-        finally:
-            os._exit(0)
-    os.close(write)
-    return [pid, read]
-
-
 def _exhaustive_hits(n: int, values: range, require_nonzero: bool) -> list[IntRows]:
     """The exhaustive search of ``search_dih_equals_det``, one prefix of n-1 rows at a time."""
     lasts = list(itertools.product(values, repeat=n))  # the walk's rows too, so hits share them
@@ -828,8 +745,9 @@ def claim_ids() -> list[str]:
 # SEARCH_BUDGET admits, 2,000,000 samples of order 4 at about 27 us each, takes about 55 s.
 MAX_TRIALS = 10_000
 
-# The slowest claims by the bench's analysis.claim.*_s: 0.68, 0.10 and 0.12 s of 1.05 s traced at
-# 200 trials.  The queue hands them out first, so no span is left running a long claim alone at the end.
+# The slowest claims, each run alone in one process pinned to one CPU (Python 3.11, 200 trials, best
+# of 3): 0.22, 0.069 and 0.053 s of the 0.43 s that all 16 take.  The queue hands them out first, so
+# no span is left running a long claim alone at the end.
 _HEAVY_CLAIMS = ("oracle:elim", "thm:antitri", "ex:corner")
 
 

@@ -14,17 +14,21 @@ The module also holds the package's one exact-integer layer, which every
 functional, scheme and search runs on: ``ExactMatrix._cleared`` turns a
 matrix's rows into integer rows once, ``signed_product_sum`` is the one
 loop over signed permutation products, and ``echelon`` is the one
-fraction-free elimination, serving both rank and determinant.
+fraction-free elimination, serving both rank and determinant; from order
+``2 * FORK_COLUMNS`` on it splits its columns across the usable CPUs.
 """
 
 from __future__ import annotations
 
+import functools
+import marshal
 import math
 import re
 import reprlib
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import BinaryIO, Iterable, Sequence
 
+from .forks import _fork_spans, _joined_ring, _received, _send
 from .perm import Permutation
 
 
@@ -200,18 +204,54 @@ class ExactMatrix:
 # the exact-integer layer
 
 
+# Least columns each span of a split elimination holds, so an order below 2 * FORK_COLUMNS runs in
+# one process.  On 2 CPUs (Python 3.11, entries in [-9, 9], best and median of 15) two spans lost
+# at n = 40 (5.6-5.8 ms against 4.9-5.0 ms in one) and at n = 32 (4.1-4.8 against 2.3-3.9 ms), and
+# won from n = 48 (8.0-8.2 against 8.9-9.1 ms; 18-19 against 26 ms at n = 64).
+FORK_COLUMNS = 24
+
+
 def echelon(m: list[list[int]]) -> tuple[int, int]:
     """Rank and determinant of a square integer matrix by fraction-free elimination.
 
-    Bareiss updates run in place on ``m``, skipping columns without a pivot,
-    so the rank falls out; the determinant is 0 below full rank, and 1 for
-    the empty (0 x 0) matrix.  Each update divides by the previous pivot,
-    which Sylvester's identity makes exact; a remainder would mean broken
-    arithmetic, so it raises.
+    Bareiss updates run in place on ``m``, which is scratch afterwards (no caller reads it),
+    skipping columns without a pivot, so the rank falls out; the determinant is 0 below full
+    rank, and 1 for the empty (0 x 0) matrix.  Each update divides by the previous pivot,
+    which Sylvester's identity makes exact; a remainder would mean broken arithmetic, so it
+    raises.
+
+    An order of at least ``2 * FORK_COLUMNS`` splits its columns among one span per usable CPU
+    (:func:`dihedrant.forks._fork_spans`), at most one per ``FORK_COLUMNS`` columns: span k
+    updates the columns c with c % spans == k, in this process for k = 0 and in a forked child
+    otherwise.  Before each step the span that owns the step's column passes it round a ring of
+    pipes, so every span makes the same pivot search, row swap and division; every span
+    returns its (rank, determinant), and they must agree.
     """
+    spans = _fork_spans(len(m) // FORK_COLUMNS)
+    if spans == 1:
+        return _eliminated(m, 0, 1)
+
+    def column_span(span: int, inp: BinaryIO, out: BinaryIO) -> list[tuple[int, int]]:
+        return [_eliminated(m, span, spans, (inp, out))]
+
+    results = _joined_ring([functools.partial(column_span, span) for span in range(spans)])
+    if len(results) != spans or len(set(results)) != 1:
+        raise ArithmeticError("the column spans of one elimination disagree")
+    return results[0]
+
+
+def _eliminated(
+    m: list[list[int]], span: int, spans: int, ring: tuple[BinaryIO, BinaryIO] | None = None
+) -> tuple[int, int]:
+    """``echelon``'s one loop, updating the columns c with c % spans == span; ``ring`` passes the others'."""
     n = len(m)
     rank, sign, prev = 0, 1, 1
+    first = span  # this span's first column after the step's column
     for col in range(n):
+        if first == col:
+            first += spans
+        if spans > 1:
+            _share_column(m, rank, col, span, spans, ring)
         top = m[rank]
         if top[col] == 0:
             pivot = next((r for r in range(rank + 1, n) if m[r][col]), None)
@@ -221,7 +261,7 @@ def echelon(m: list[list[int]]) -> tuple[int, int]:
             top = m[rank]
             sign = -sign
         lead = top[col]
-        cols = range(col + 1, n)
+        cols = range(first, n, spans)
         for row in m[rank + 1 :]:
             factor = row[col]
             if prev == 1:  # always so on the first step: dividing by 1 is exact and free
@@ -236,6 +276,22 @@ def echelon(m: list[list[int]]) -> tuple[int, int]:
         prev = lead
         rank += 1
     return (n, sign * prev) if rank == n else (rank, 0)
+
+
+def _share_column(
+    m: list[list[int]], rank: int, col: int, span: int, spans: int, ring: tuple[BinaryIO, BinaryIO]
+) -> None:
+    """Column col of rows rank.. from the span that owns it to every other span, round the ring."""
+    inp, out = ring
+    owner = col % spans
+    if owner == span:
+        _send(out, marshal.dumps([row[col] for row in m[rank:]]))
+        return
+    payload = _received(inp)
+    if (span + 1) % spans != owner:  # the next span has not seen it yet
+        _send(out, payload)
+    for row, value in zip(m[rank:], marshal.loads(payload)):
+        row[col] = value
 
 
 def signed_product_sum(rows: Sequence[Sequence], terms: Iterable[tuple[Sequence[int], int]]):

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
+import signal
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -38,6 +40,27 @@ def int_digit_limit():
     sys.set_int_max_str_digits(4300)
     yield
     sys.set_int_max_str_digits(old)
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError in this process after ``seconds``, so a blocked pipe fails the test.
+
+    Without ``signal.SIGALRM`` (Windows, which forks no span) it does nothing.
+    """
+    def expired(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+    old = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dihedrant import analysis
+from dihedrant import analysis, matrix
 from dihedrant.analysis import (
     CLAIMS,
     SearchConfig,
@@ -49,7 +49,7 @@ from dihedrant.matrix import ExactMatrix, echelon
 from dihedrant.matrix_io import matrix_to_json
 from dihedrant.perm import ResourceLimitError, reflection_perm, rotation_perm, sgn
 
-from conftest import CPUS, plain_random_search, plain_search
+from conftest import CPUS, deadline, plain_random_search, plain_search
 
 
 # ---------------------------------------------------------------------------
@@ -570,13 +570,25 @@ def _forked_claims() -> list:
     return run_claims(claim_ids(), seed=5, trials=5)
 
 
-# both callers of the fork-join, each large enough to fork; both draw their samples through analysis._draws
-forked_callers = pytest.mark.parametrize("forked", [_forked_search, _forked_claims], ids=["search", "claims"])
+def _forked_elimination() -> tuple[int, int]:
+    n = 2 * matrix.FORK_COLUMNS
+    return echelon([[(i * i + 3 * j) % 19 - 9 + (i == j) * i for j in range(n)] for i in range(n)])
+
+
+# every caller of the fork-join, each large enough to fork, with a function that each of its spans calls:
+# the search and the claims draw their samples through analysis._draws, and every column span of an
+# elimination receives or sends each step's column through matrix._share_column
+forked_callers = pytest.mark.parametrize(
+    "forked, hook",
+    [(_forked_search, (analysis, "_draws")), (_forked_claims, (analysis, "_draws")),
+     (_forked_elimination, (matrix, "_share_column"))],
+    ids=["search", "claims", "elimination"],
+)
 
 
 @needs_two_spans
 @forked_callers
-def test_a_forked_search_leaves_no_child(forked, forks):
+def test_a_forked_search_leaves_no_child(forked, hook, forks):
     assert forked()
     assert forks
     with pytest.raises(ChildProcessError):
@@ -585,20 +597,20 @@ def test_a_forked_search_leaves_no_child(forked, forks):
 
 @needs_two_spans
 @forked_callers
-def test_an_exception_in_a_forked_span_reaches_the_caller(forked, monkeypatch, forks):
+def test_an_exception_in_a_forked_span_reaches_the_caller(forked, hook, monkeypatch, forks):
     parent = os.getpid()
-    draws = analysis._draws
+    original = getattr(*hook)
     paused = []
 
     def fails_in_a_child(*args):
         if os.getpid() != parent:
-            raise OverflowError("the draws failed in a forked span")
+            raise OverflowError("a forked span failed")
         if not paused:  # so every child pulls a claim before this process can empty the queue
             paused.append(time.sleep(0.2))
-        return draws(*args)
+        return original(*args)
 
-    monkeypatch.setattr(analysis, "_draws", fails_in_a_child)
-    with pytest.raises(OverflowError, match="the draws failed in a forked span") as raised:
+    monkeypatch.setattr(*hook, fails_in_a_child)
+    with deadline(60), pytest.raises(OverflowError, match="a forked span failed") as raised:
         forked()
     assert type(raised.value) is OverflowError and forks
     with pytest.raises(ChildProcessError):
@@ -607,7 +619,7 @@ def test_an_exception_in_a_forked_span_reaches_the_caller(forked, monkeypatch, f
 
 @needs_two_spans
 @forked_callers
-def test_an_interrupted_search_kills_and_reaps_its_children(forked, monkeypatch, forks):
+def test_an_interrupted_search_kills_and_reaps_its_children(forked, hook, monkeypatch, forks):
     parent = os.getpid()
 
     def interrupted(*args):
@@ -616,7 +628,7 @@ def test_an_interrupted_search_kills_and_reaps_its_children(forked, monkeypatch,
         time.sleep(20)  # a child the caller waits for, rather than kills, holds it this long
         raise OverflowError("a forked span outlived the interrupt")
 
-    monkeypatch.setattr(analysis, "_draws", interrupted)
+    monkeypatch.setattr(*hook, interrupted)
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         forked()
@@ -626,7 +638,7 @@ def test_an_interrupted_search_kills_and_reaps_its_children(forked, monkeypatch,
 
 
 @forked_callers
-def test_other_threads_keep_every_span_in_the_caller(forked, forks):
+def test_other_threads_keep_every_span_in_the_caller(forked, hook, forks):
     release = threading.Event()
     other = threading.Thread(target=release.wait)  # a forked child would not have this thread
     other.start()

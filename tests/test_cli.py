@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -13,8 +14,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dihedrant import analysis
+from dihedrant import analysis, matrix
 from dihedrant.cli import MAX_TABLE_ORDER, main
+from dihedrant.functionals import dihedrant
+from dihedrant.matrix import ExactMatrix
 from dihedrant.analysis import CLAIMS, TWOS_ONES_MATRIX
 from dihedrant.matrix_io import matrix_to_obj
 
@@ -368,6 +371,19 @@ def test_verify_output_does_not_depend_on_the_cpus():
     fingerprint = (FIXTURES.parent / "bench" / "verify_seed7.txt").read_bytes()
     procs = _pinned_and_unpinned(["verify", "all", "--seed", "7"])
     assert [(proc.returncode, proc.stderr, proc.stdout) for proc in procs] == [(0, b"", fingerprint)] * 2
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_eval_output_does_not_depend_on_the_cpus(tmp_path):
+    # a 96x96 elimination splits its columns across every usable CPU; pinned to one CPU it runs in one process
+    rng = random.Random(96)
+    rows = [[rng.randint(-9, 9) for _ in range(96)] for _ in range(96)]
+    path = tmp_path / "m96.json"
+    path.write_text(json.dumps(rows), encoding="utf-8")
+    det = matrix._eliminated([row[:] for row in rows], 0, 1)[1]
+    for functional, expected in (("det-elim", det), ("dih", dihedrant(ExactMatrix(rows)))):
+        procs = _pinned_and_unpinned(["eval", str(path), functional])
+        assert [(proc.returncode, proc.stderr, proc.stdout) for proc in procs] == [(0, b"", f"{expected}\n".encode())] * 2
 
 
 def test_search_exhaustive_budget_exits_three(capsys):

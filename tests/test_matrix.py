@@ -1,5 +1,6 @@
 """Exact matrices: structure operations, rank, and the signed-product kernel."""
 
+import os
 from array import array
 from decimal import Decimal
 from fractions import Fraction
@@ -7,6 +8,7 @@ from random import Random
 
 import pytest
 
+from dihedrant import matrix
 from dihedrant.matrix import (
     ExactMatrix,
     MatrixFormatError,
@@ -20,7 +22,16 @@ from dihedrant.functionals import dihedrant, elimination_det
 from dihedrant.matrix_io import load_matrix
 from dihedrant.schemes import false_sarrus_scheme
 
-from conftest import FIXTURES, gauss_rank, low_rank_rows, random_int_rows, random_rational_rows
+from conftest import (
+    CPUS,
+    FIXTURES,
+    deadline,
+    gauss_det,
+    gauss_rank,
+    low_rank_rows,
+    random_int_rows,
+    random_rational_rows,
+)
 
 MINUS15_ROWS = [[1, 0, 0, -1], [1, -3, 0, -3], [1, 1, 5, 5], [0, 0, 0, 1]]
 
@@ -351,6 +362,96 @@ def test_rank_invariances():
         sigma = Permutation(tuple(images))
         assert A.permute_rows(sigma).rank() == A.rank()
         assert A.permute_columns(sigma).rank() == A.rank()
+
+
+# ---------------------------------------------------------------------------
+# the elimination split by columns
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+def _split_cases() -> dict[str, list[list[int]]]:
+    rng = Random(29)
+    singular = random_int_rows(rng, 7, -3, 3)
+    singular[5] = [2 * a - b for a, b in zip(singular[1], singular[3])]
+    # column 0 is zero and row 0 starts with zeros: every early step searches for a pivot and swaps
+    zero_column = [[0, *row[1:]] for row in random_int_rows(rng, 6, -2, 2)]
+    zero_column[0][:3] = [0, 0, 0]
+    return {
+        "full rank": random_int_rows(rng, 9, -9, 9),
+        "singular": singular,
+        "zero column": zero_column,
+        "all zero": [[0] * 5 for _ in range(5)],
+        "1x1": [[-7]],
+        "1x1 zero": [[0]],
+        "empty": [],
+        # entries of about 600,000 bits: column 0 marshals to about 150 KB and column 1 to about 75 KB,
+        # both past a 64 KiB pipe buffer
+        "long column": [[rng.getrandbits(600_000) | 1, 3], [rng.getrandbits(600_000) | 1, 5]],
+    }
+
+
+@needs_fork
+@pytest.mark.parametrize("spans", range(2, max(CPUS, 3) + 1))
+def test_a_split_elimination_equals_one_process(spans, monkeypatch, forks):
+    cases = _split_cases()
+    expected = {name: echelon([row[:] for row in rows]) for name, rows in cases.items()}  # below the threshold
+    assert forks == []
+    assert expected["singular"] == (6, 0) and expected["all zero"] == (0, 0) and expected["empty"] == (0, 1)
+    assert expected["full rank"] == (9, gauss_det(cases["full rank"]))
+    monkeypatch.setattr(matrix, "_fork_spans", lambda most: spans)  # the threshold, patched down to every order
+    with deadline(60):
+        for name, rows in cases.items():
+            forks.clear()
+            assert echelon([row[:] for row in rows]) == expected[name], name
+            assert len(forks) == spans - 1, name
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_the_split_starts_at_twice_fork_columns(forks):
+    rng = Random(31)
+    for n in (2 * matrix.FORK_COLUMNS - 1, 2 * matrix.FORK_COLUMNS):
+        rows = random_int_rows(rng, n, -9, 9)
+        forks.clear()
+        assert echelon([row[:] for row in rows]) == matrix._eliminated([row[:] for row in rows], 0, 1)
+        assert len(forks) == (min(CPUS, 2) - 1 if n >= 2 * matrix.FORK_COLUMNS else 0), n
+
+
+@pytest.mark.parametrize("where", ["caller", "child"])
+def test_a_remainder_raises_in_every_span(where, monkeypatch, forks):
+    if where == "child":
+        if not hasattr(os, "fork"):
+            pytest.skip("needs os.fork")
+        monkeypatch.setattr(matrix, "_fork_spans", lambda most: 2)
+    caller = os.getpid()
+
+    def broken_divmod(a, b):  # a quotient whose remainder is never 0, in one process only
+        return (a // b, 1) if (os.getpid() == caller) == (where == "caller") else divmod(a, b)
+
+    monkeypatch.setattr(matrix, "divmod", broken_divmod, raising=False)
+    with deadline(60), pytest.raises(ArithmeticError, match="produced a non-integer quotient"):
+        echelon([[2, 1, 3, 1], [1, 4, 1, 2], [5, 2, 6, 1], [1, 1, 1, 3]])  # span 1 divides in column 3
+    assert len(forks) == (where == "child")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_the_spans_of_a_split_must_agree(monkeypatch, forks):
+    caller = os.getpid()
+    eliminated = matrix._eliminated
+
+    def off_by_one_in_a_child(*args):
+        rank, det = eliminated(*args)
+        return rank, det + (os.getpid() != caller)
+
+    monkeypatch.setattr(matrix, "_fork_spans", lambda most: 2)
+    monkeypatch.setattr(matrix, "_eliminated", off_by_one_in_a_child)
+    with deadline(60), pytest.raises(ArithmeticError, match="the column spans of one elimination disagree"):
+        echelon([[2, 1, 3], [1, 4, 1], [5, 2, 6]])
+    assert len(forks) == 1
 
 
 # ---------------------------------------------------------------------------
