@@ -14,21 +14,23 @@ The module also holds the package's one exact-integer layer, which every
 functional, scheme and search runs on: ``ExactMatrix._cleared`` turns a
 matrix's rows into integer rows once, ``signed_product_sum`` is the one
 loop over signed permutation products, and ``echelon`` is the one
-fraction-free elimination, serving both rank and determinant; from order
-``2 * FORK_COLUMNS`` on it splits its columns across the usable CPUs.
+elimination, serving both rank and determinant: fraction-free below order
+``MODULAR_ORDER``, modulo primes shared out among the usable CPUs from it on.
 """
 
 from __future__ import annotations
 
 import functools
-import marshal
+import itertools
 import math
 import re
 import reprlib
+import sys
+from array import array
 from fractions import Fraction
-from typing import BinaryIO, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .forks import _fork_spans, _joined_ring, _received, _send
+from .forks import _fork_spans, _joined_spans
 from .perm import Permutation
 
 
@@ -64,12 +66,12 @@ def _parse(text: str) -> int | Fraction:
     value = text.strip()
     if not _ENTRY_RE.fullmatch(value):
         raise MatrixFormatError(f"not an integer or p/q value: {_brief.repr(text)}")
-    if "/" not in value:
-        return int(value)
     try:
-        return _exact(Fraction(value))
+        return int(value) if "/" not in value else _exact(Fraction(value))
     except ZeroDivisionError:
         raise MatrixFormatError(f"zero denominator: {_brief.repr(text)}") from None
+    except ValueError as exc:  # more digits than sys.get_int_max_str_digits() allows
+        raise MatrixFormatError(str(exc)) from None
 
 
 def _exact(value) -> int | Fraction:
@@ -174,7 +176,7 @@ class ExactMatrix:
 
     def rank(self) -> int:
         """Exact rank over the rationals (row scaling does not change it)."""
-        return echelon(list(map(list, self._cleared()[0])))[0]
+        return echelon(list(map(list, self._cleared()[0])), det=False)[0]
 
     def _cleared(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """Each row scaled by the lcm of its denominators, and the product of the scales.
@@ -204,54 +206,71 @@ class ExactMatrix:
 # the exact-integer layer
 
 
-# Least columns each span of a split elimination holds, so an order below 2 * FORK_COLUMNS runs in
-# one process.  On 2 CPUs (Python 3.11, entries in [-9, 9], best and median of 15) two spans lost
-# at n = 40 (5.6-5.8 ms against 4.9-5.0 ms in one) and at n = 32 (4.1-4.8 against 2.3-3.9 ms), and
-# won from n = 48 (8.0-8.2 against 8.9-9.1 ms; 18-19 against 26 ms at n = 64).
-FORK_COLUMNS = 24
+# Least order that runs the modular path.  Best of 15 on 2 CPUs (Python 3.11), ms for Bareiss / modular on
+# 1 span / on 2, at n = 32, 40, 48, 64: entries in [-9, 9] 4.3/5.3/4.3, 5.5/6.4/6.5, 10.7/10.0/8.6 and
+# 29.5/24.8/17.0; entries p/q with |p|, q <= 9, cleared, 4.8/7.9/10.2, 11.2/15.3/16.3, 23.0/26.2/25.7
+# and 111.8/109.3/64.0.
+MODULAR_ORDER = 48
 
 
-def echelon(m: list[list[int]]) -> tuple[int, int]:
-    """Rank and determinant of a square integer matrix by fraction-free elimination.
+def echelon(m: list[list[int]], det: bool = True) -> tuple[int, int | None]:
+    """Rank and determinant of a square integer matrix; the determinant is 0 below full rank.
 
-    Bareiss updates run in place on ``m``, which is scratch afterwards (no caller reads it),
-    skipping columns without a pivot, so the rank falls out; the determinant is 0 below full
-    rank, and 1 for the empty (0 x 0) matrix.  Each update divides by the previous pivot,
-    which Sylvester's identity makes exact; a remainder would mean broken arithmetic, so it
-    raises.
-
-    An order of at least ``2 * FORK_COLUMNS`` splits its columns among one span per usable CPU
-    (:func:`dihedrant.forks._fork_spans`), at most one per ``FORK_COLUMNS`` columns: span k
-    updates the columns c with c % spans == k, in this process for k = 0 and in a forked child
-    otherwise.  Before each step the span that owns the step's column passes it round a ring of
-    pipes, so every span makes the same pivot search, row swap and division; every span
-    returns its (rank, determinant), and they must agree.
+    Below order ``MODULAR_ORDER`` the fraction-free (Bareiss) loop ``_eliminated`` runs in
+    place on ``m``, which is scratch afterwards.  From that order on, Gaussian elimination runs
+    modulo word-size primes (``_eliminated_mod``), shared out among the usable CPUs by
+    :func:`dihedrant.forks._joined_spans`, and the Chinese remainder theorem joins them.  With H
+    the product of the row norms (Hadamard's bound on the determinant), the determinant is the
+    balanced residue once the primes' product exceeds 2H; the rank is the largest rank mod p,
+    r, once the product exceeds the product of the r + 1 largest row norms, which bounds every
+    minor of order r + 1.  One more prime must then agree: the same determinant modulo it and
+    no larger rank, else ``ArithmeticError``.  With ``det`` false only the rank is sought: on this
+    path a full rank modulo the first prime ends the work, and the determinant is None.
     """
-    spans = _fork_spans(len(m) // FORK_COLUMNS)
-    if spans == 1:
-        return _eliminated(m, 0, 1)
+    n = len(m)
+    if n < MODULAR_ORDER:
+        return _eliminated(m)
+    squares = sorted((sum(e * e for e in row) for row in m), reverse=True)  # the squared row norms
+    bounds = [*itertools.accumulate(squares, int.__mul__, initial=1)]  # bounds[k]: of the k largest
 
-    def column_span(span: int, inp: BinaryIO, out: BinaryIO) -> list[tuple[int, int]]:
-        return [_eliminated(m, span, spans, (inp, out))]
+    def certified(product: int, rank: int) -> bool:  # the rank, and the determinant if sought
+        return (rank == n or product**2 > bounds[rank + 1]) and (not det or rank < n or product**2 > 4 * bounds[n])
 
-    results = _joined_ring([functools.partial(column_span, span) for span in range(spans)])
-    if len(results) != spans or len(set(results)) != 1:
-        raise ArithmeticError("the column spans of one elimination disagree")
-    return results[0]
+    bits = (64 - n.bit_length()) // 2  # so that p + n * p * p < 2**64 for every p < 2**bits
+    used, product, residue, rank, checked = 0, 1, 0, 0, False
+    while not used or not (certified(product, rank) and (checked or (rank == n and not det))):
+        batch, planned = [], product
+        while used and not certified(planned, rank):  # enough primes to certify the rank seen so far
+            batch.append(_prime(bits, used + len(batch)))
+            planned *= batch[-1]
+        batch.append(_prime(bits, used + len(batch)))  # the first prime, or one more to check
+        used += len(batch)
+        spans = _fork_spans(len(batch))
+        joined = _joined_spans([functools.partial(_residues, m, batch[k::spans]) for k in range(spans)])
+        for p, rank_p, det_p in sorted(joined, reverse=True):  # in the primes' (descending) order
+            if not certified(product, rank):
+                residue += product * ((det_p - residue) * pow(product, -1, p) % p)
+                product *= p
+                residue -= product if 2 * residue > product else 0  # kept balanced
+                rank = max(rank, rank_p)
+            elif rank_p > rank or det_p != residue % p:
+                raise ArithmeticError("a check prime disagrees with the multi-modular rank and determinant")
+            else:
+                checked = True
+    return rank, residue if det else None
 
 
-def _eliminated(
-    m: list[list[int]], span: int, spans: int, ring: tuple[BinaryIO, BinaryIO] | None = None
-) -> tuple[int, int]:
-    """``echelon``'s one loop, updating the columns c with c % spans == span; ``ring`` passes the others'."""
+def _residues(m: list[list[int]], primes: list[int]) -> list[tuple[int, int, int]]:
+    """(p, rank mod p, determinant mod p) for each of the primes: one span of ``echelon``."""
+    return [(p, *_eliminated_mod(m, p)) for p in primes]
+
+
+def _eliminated(m: list[list[int]]) -> tuple[int, int]:
+    """Bareiss elimination in place (determinant 1 at order 0); each update divides by the previous
+    pivot, which Sylvester's identity makes exact, so a remainder means broken arithmetic and raises."""
     n = len(m)
     rank, sign, prev = 0, 1, 1
-    first = span  # this span's first column after the step's column
     for col in range(n):
-        if first == col:
-            first += spans
-        if spans > 1:
-            _share_column(m, rank, col, span, spans, ring)
         top = m[rank]
         if top[col] == 0:
             pivot = next((r for r in range(rank + 1, n) if m[r][col]), None)
@@ -261,7 +280,7 @@ def _eliminated(
             top = m[rank]
             sign = -sign
         lead = top[col]
-        cols = range(first, n, spans)
+        cols = range(col + 1, n)
         for row in m[rank + 1 :]:
             factor = row[col]
             if prev == 1:  # always so on the first step: dividing by 1 is exact and free
@@ -278,20 +297,54 @@ def _eliminated(
     return (n, sign * prev) if rank == n else (rank, 0)
 
 
-def _share_column(
-    m: list[list[int]], rank: int, col: int, span: int, spans: int, ring: tuple[BinaryIO, BinaryIO]
-) -> None:
-    """Column col of rows rank.. from the span that owns it to every other span, round the ring."""
-    inp, out = ring
-    owner = col % spans
-    if owner == span:
-        _send(out, marshal.dumps([row[col] for row in m[rank:]]))
-        return
-    payload = _received(inp)
-    if (span + 1) % spans != owner:  # the next span has not seen it yet
-        _send(out, payload)
-    for row, value in zip(m[rank:], marshal.loads(payload)):
-        row[col] = value
+def _eliminated_mod(m: list[list[int]], p: int) -> tuple[int, int]:
+    """Rank and determinant of ``m`` modulo the prime p, which needs p + len(m) * p * p < 2**64.
+
+    Each row is one int of 64-bit fields, field 0 the current column.  Each step shifts field 0
+    out of every live row and adds (p - v) times the pivot row, reduced and scaled to lead with 1,
+    where v is the row's field 0 mod p; so a field gains less than p * p a step, and only the
+    pivot row is ever reduced.
+    """
+    order = sys.byteorder
+    rows = m if order == "little" else [row[::-1] for row in m]  # so that field 0 is the low word
+    live = [int.from_bytes(array("Q", [e % p for e in row]), order) for row in rows]
+    n = len(m)
+    rank, det = 0, 1
+    for col in range(n):
+        heads = [(x & 0xFFFF_FFFF_FFFF_FFFF) % p for x in live]
+        k = next((k for k, v in enumerate(heads) if v), None)
+        if k is None:
+            live = [x >> 64 for x in live]
+            continue
+        top, lead = live.pop(k) >> 64, heads.pop(k)
+        det = (-det if k & 1 else det) * lead % p  # the pivot row moved up past k rows
+        scale = pow(lead, -1, p)
+        fields = memoryview(top.to_bytes(8 * (n - col - 1), order)).cast("Q")
+        top = int.from_bytes(array("Q", [f * scale % p for f in fields]), order)
+        live = [(x >> 64) + (p - v) * top if v else x >> 64 for x, v in zip(live, heads)]
+        rank += 1
+    return (rank, det) if rank == n else (rank, 0)
+
+
+_PRIMES: dict[int, list[int]] = {}  # per field width: the primes below 2**bits found so far, largest first
+
+
+def _prime(bits: int, k: int) -> int:
+    """The k-th largest prime below 2**bits, counting from 0."""
+    primes = _PRIMES.setdefault(bits, [])
+    candidate = primes[-1] - 2 if primes else (1 << bits) - 1
+    while len(primes) <= k:
+        if _is_prime(candidate):
+            primes.append(candidate)
+        candidate -= 2
+    return primes[k]
+
+
+def _is_prime(q: int) -> bool:
+    """Miller-Rabin with bases 2, 7 and 61, which is exact for odd q from 63 to 4,759,123,140."""
+    s = ((q - 1) & (1 - q)).bit_length() - 1  # q - 1 = d * 2**s with d odd
+    d = (q - 1) >> s
+    return all(pow(a, d, q) == 1 or any(pow(a, d << r, q) == q - 1 for r in range(s)) for a in (2, 7, 61))
 
 
 def signed_product_sum(rows: Sequence[Sequence], terms: Iterable[tuple[Sequence[int], int]]):

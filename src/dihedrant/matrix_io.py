@@ -58,7 +58,7 @@ def _entry_from_obj(e, i: int, j: int) -> int | Fraction:
 def parse_matrix_json(text: str) -> ExactMatrix:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or an integer past sys.get_int_max_str_digits()
         raise MatrixFormatError(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise MatrixFormatError("invalid JSON: nesting too deep") from None

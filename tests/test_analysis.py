@@ -4,6 +4,8 @@ import itertools
 import json
 import math
 import os
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -571,17 +573,17 @@ def _forked_claims() -> list:
 
 
 def _forked_elimination() -> tuple[int, int]:
-    n = 2 * matrix.FORK_COLUMNS
+    n = matrix.MODULAR_ORDER
     return echelon([[(i * i + 3 * j) % 19 - 9 + (i == j) * i for j in range(n)] for i in range(n)])
 
 
 # every caller of the fork-join, each large enough to fork, with a function that each of its spans calls:
-# the search and the claims draw their samples through analysis._draws, and every column span of an
-# elimination receives or sends each step's column through matrix._share_column
+# the search and the claims draw their samples through analysis._draws, and every prime span of an
+# elimination runs each of its primes through matrix._eliminated_mod
 forked_callers = pytest.mark.parametrize(
     "forked, hook",
     [(_forked_search, (analysis, "_draws")), (_forked_claims, (analysis, "_draws")),
-     (_forked_elimination, (matrix, "_share_column"))],
+     (_forked_elimination, (matrix, "_eliminated_mod"))],
     ids=["search", "claims", "elimination"],
 )
 
@@ -621,9 +623,12 @@ def test_an_exception_in_a_forked_span_reaches_the_caller(forked, hook, monkeypa
 @forked_callers
 def test_an_interrupted_search_kills_and_reaps_its_children(forked, hook, monkeypatch, forks):
     parent = os.getpid()
+    original = getattr(*hook)
 
     def interrupted(*args):
         if os.getpid() == parent:
+            if not forks:  # an elimination's first prime runs in this process before any span forks
+                return original(*args)
             raise KeyboardInterrupt
         time.sleep(20)  # a child the caller waits for, rather than kills, holds it this long
         raise OverflowError("a forked span outlived the interrupt")
@@ -635,6 +640,38 @@ def test_an_interrupted_search_kills_and_reaps_its_children(forked, hook, monkey
     assert forks and time.monotonic() - start < 10
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+# the caller, with SIGPIPE at its default action, and a hook that fails in every forked span
+_SIGPIPE_SCRIPT = """
+import os, signal, sys, time
+signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+import test_analysis
+module, name, forked = sys.modules[sys.argv[1]], sys.argv[2], getattr(test_analysis, sys.argv[3])
+original, parent, paused = getattr(module, name), os.getpid(), []
+
+def fails_in_a_child(*args):
+    if os.getpid() != parent:
+        raise OverflowError("a forked span failed")
+    if not paused:  # so every child fails before this process reads from or writes to a pipe
+        paused.append(time.sleep(0.2))
+    return original(*args)
+
+setattr(module, name, fails_in_a_child)
+forked()
+"""
+
+
+@needs_two_spans
+@forked_callers
+def test_a_failing_span_raises_with_sigpipe_at_its_default_action(forked, hook):
+    # a process that writes to a pipe no one reads would die of SIGPIPE (exit status 141 in a shell)
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([os.path.join(os.path.dirname(here), "src"), here])}
+    argv = [sys.executable, "-c", _SIGPIPE_SCRIPT, hook[0].__name__, hook[1], forked.__name__]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, (proc.returncode, proc.stderr[-2000:])
+    assert proc.stderr.rstrip().endswith("OverflowError: a forked span failed"), proc.stderr[-2000:]
 
 
 @forked_callers

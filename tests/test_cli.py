@@ -375,12 +375,12 @@ def test_verify_output_does_not_depend_on_the_cpus():
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
 def test_eval_output_does_not_depend_on_the_cpus(tmp_path):
-    # a 96x96 elimination splits its columns across every usable CPU; pinned to one CPU it runs in one process
+    # a 96x96 elimination shares its primes among every usable CPU; pinned to one CPU it runs in one process
     rng = random.Random(96)
     rows = [[rng.randint(-9, 9) for _ in range(96)] for _ in range(96)]
     path = tmp_path / "m96.json"
     path.write_text(json.dumps(rows), encoding="utf-8")
-    det = matrix._eliminated([row[:] for row in rows], 0, 1)[1]
+    det = matrix._eliminated([row[:] for row in rows])[1]
     for functional, expected in (("det-elim", det), ("dih", dihedrant(ExactMatrix(rows)))):
         procs = _pinned_and_unpinned(["eval", str(path), functional])
         assert [(proc.returncode, proc.stderr, proc.stdout) for proc in procs] == [(0, b"", f"{expected}\n".encode())] * 2

@@ -1,5 +1,6 @@
 """Exact matrices: structure operations, rank, and the signed-product kernel."""
 
+import functools
 import os
 from array import array
 from decimal import Decimal
@@ -365,93 +366,126 @@ def test_rank_invariances():
 
 
 # ---------------------------------------------------------------------------
-# the elimination split by columns
+# the elimination's two paths: Bareiss below MODULAR_ORDER, modulo primes from it on
 
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_remainder_raises_in_the_bareiss_loop(monkeypatch):
+    def broken_divmod(a, b):  # a quotient whose remainder is never 0
+        return a // b, 1
+
+    monkeypatch.setattr(matrix, "divmod", broken_divmod, raising=False)
+    with pytest.raises(ArithmeticError, match="produced a non-integer quotient"):
+        echelon([[2, 1, 3, 1], [1, 4, 1, 2], [5, 2, 6, 1], [1, 1, 1, 3]])
 
 
-def _split_cases() -> dict[str, list[list[int]]]:
-    rng = Random(29)
-    singular = random_int_rows(rng, 7, -3, 3)
-    singular[5] = [2 * a - b for a, b in zip(singular[1], singular[3])]
-    # column 0 is zero and row 0 starts with zeros: every early step searches for a pivot and swaps
-    zero_column = [[0, *row[1:]] for row in random_int_rows(rng, 6, -2, 2)]
-    zero_column[0][:3] = [0, 0, 0]
-    return {
-        "full rank": random_int_rows(rng, 9, -9, 9),
-        "singular": singular,
+@functools.lru_cache(maxsize=None)
+def _modular_cases(n: int) -> dict[str, tuple[tuple[tuple[int, ...], ...], tuple[int, int]]]:
+    """Integer matrices of order n, each with its rank and determinant by the Bareiss loop."""
+    rng = Random(29 + n)
+    rank_n_minus_1 = random_int_rows(rng, n, -9, 9)
+    rank_n_minus_1[5] = [2 * a - b for a, b in zip(rank_n_minus_1[1], rank_n_minus_1[3])]
+    base = random_int_rows(rng, n, -9, 9)[: n // 2]
+    half_rank = base + [[-e for e in row] if rng.random() < 0.5 else row[:] for row in base]  # signed copies
+    rng.shuffle(half_rank)
+    zero_column = [[0, *row[1:]] for row in random_int_rows(rng, n, -2, 2)]
+    long_row = random_int_rows(rng, n, -9, 9)
+    long_row[-1] = [rng.getrandbits(2000) - (1 << 1999) for _ in range(n)]  # entries of about 2,000 bits
+    cases = {
+        "full rank": random_int_rows(rng, n, -9, 9),
+        "rank n-1": rank_n_minus_1,
+        "rank n/2": half_rank,
         "zero column": zero_column,
-        "all zero": [[0] * 5 for _ in range(5)],
-        "1x1": [[-7]],
-        "1x1 zero": [[0]],
-        "empty": [],
-        # entries of about 600,000 bits: column 0 marshals to about 150 KB and column 1 to about 75 KB,
-        # both past a 64 KiB pipe buffer
-        "long column": [[rng.getrandbits(600_000) | 1, 3], [rng.getrandbits(600_000) | 1, 5]],
+        "all zero": [[0] * n for _ in range(n)],
+        "rational": list(ExactMatrix(random_rational_rows(rng, n, n))._cleared()[0]),
+        "2,000 bits": long_row,
     }
+    return {name: (tuple(map(tuple, rows)), matrix._eliminated(list(map(list, rows)))) for name, rows in cases.items()}
 
 
-@needs_fork
-@pytest.mark.parametrize("spans", range(2, max(CPUS, 3) + 1))
-def test_a_split_elimination_equals_one_process(spans, monkeypatch, forks):
-    cases = _split_cases()
-    expected = {name: echelon([row[:] for row in rows]) for name, rows in cases.items()}  # below the threshold
-    assert forks == []
-    assert expected["singular"] == (6, 0) and expected["all zero"] == (0, 0) and expected["empty"] == (0, 1)
-    assert expected["full rank"] == (9, gauss_det(cases["full rank"]))
-    monkeypatch.setattr(matrix, "_fork_spans", lambda most: spans)  # the threshold, patched down to every order
-    with deadline(60):
-        for name, rows in cases.items():
-            forks.clear()
-            assert echelon([row[:] for row in rows]) == expected[name], name
-            assert len(forks) == spans - 1, name
+def test_the_modular_cases_match_the_oracles():
+    for n in (matrix.MODULAR_ORDER - 1, matrix.MODULAR_ORDER):
+        for name, (rows, (rank, det)) in _modular_cases(n).items():
+            assert (rank, det) == (gauss_rank(rows), gauss_det(rows)), (n, name)
+            assert rank == {"rank n-1": n - 1, "rank n/2": n // 2, "zero column": n - 1, "all zero": 0}.get(name, n)
+
+
+@pytest.mark.parametrize("spans", range(1, max(CPUS, 3) + 1))
+def test_the_modular_path_equals_bareiss(spans, monkeypatch, forks):
+    if spans > 1 and not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
+    monkeypatch.setattr(matrix, "_fork_spans", lambda most: spans)
+    with deadline(120):
+        for n in (matrix.MODULAR_ORDER - 1, matrix.MODULAR_ORDER):
+            for name, (rows, expected) in _modular_cases(n).items():
+                forks.clear()
+                assert echelon(list(map(list, rows))) == expected, (n, name)
+                assert bool(forks) == (spans > 1 and n == matrix.MODULAR_ORDER), (n, name)
+                ranked = echelon(list(map(list, rows)), det=False)
+                assert ranked == (expected[0], expected[1] if n < matrix.MODULAR_ORDER else None), (n, name)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-@needs_fork
-def test_the_split_starts_at_twice_fork_columns(forks):
-    rng = Random(31)
-    for n in (2 * matrix.FORK_COLUMNS - 1, 2 * matrix.FORK_COLUMNS):
-        rows = random_int_rows(rng, n, -9, 9)
-        forks.clear()
-        assert echelon([row[:] for row in rows]) == matrix._eliminated([row[:] for row in rows], 0, 1)
-        assert len(forks) == (min(CPUS, 2) - 1 if n >= 2 * matrix.FORK_COLUMNS else 0), n
+def _counted_primes(monkeypatch) -> list[int]:
+    """The primes that matrix._eliminated_mod runs in this process from here on."""
+    primes = []
+    eliminated_mod = matrix._eliminated_mod
+
+    def counted(m, p):
+        primes.append(p)
+        return eliminated_mod(m, p)
+
+    monkeypatch.setattr(matrix, "_eliminated_mod", counted)
+    return primes
+
+
+def test_the_rank_of_a_full_rank_matrix_needs_one_prime(monkeypatch):
+    rows = random_int_rows(Random(37), 128, -9, 9)
+    A = ExactMatrix(rows)
+    monkeypatch.setattr(matrix, "_fork_spans", lambda most: 1)
+    primes = _counted_primes(monkeypatch)
+    assert A.rank() == 128 and len(primes) == 1
+    assert elimination_det(A) == matrix._eliminated(rows)[1] and len(primes) > 20  # Hadamard: about 760 bits
 
 
 @pytest.mark.parametrize("where", ["caller", "child"])
-def test_a_remainder_raises_in_every_span(where, monkeypatch, forks):
-    if where == "child":
-        if not hasattr(os, "fork"):
-            pytest.skip("needs os.fork")
-        monkeypatch.setattr(matrix, "_fork_spans", lambda most: 2)
+def test_a_wrong_residue_fails_the_check_prime(where, monkeypatch, forks):
+    if where == "child" and not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
+    monkeypatch.setattr(matrix, "_fork_spans", lambda most: 1 if where == "caller" else 2)
     caller = os.getpid()
+    rows, expected = _modular_cases(matrix.MODULAR_ORDER)["full rank"]
+    first = matrix._prime((64 - matrix.MODULAR_ORDER.bit_length()) // 2, 0)  # always run in this process
+    eliminated_mod = matrix._eliminated_mod
 
-    def broken_divmod(a, b):  # a quotient whose remainder is never 0, in one process only
-        return (a // b, 1) if (os.getpid() == caller) == (where == "caller") else divmod(a, b)
+    def off_by_one(m, p):
+        rank, det = eliminated_mod(m, p)
+        wrong = p == first if where == "caller" else os.getpid() != caller
+        return rank, (det + wrong) % p
 
-    monkeypatch.setattr(matrix, "divmod", broken_divmod, raising=False)
-    with deadline(60), pytest.raises(ArithmeticError, match="produced a non-integer quotient"):
-        echelon([[2, 1, 3, 1], [1, 4, 1, 2], [5, 2, 6, 1], [1, 1, 1, 3]])  # span 1 divides in column 3
-    assert len(forks) == (where == "child")
+    monkeypatch.setattr(matrix, "_eliminated_mod", off_by_one)
+    with deadline(60), pytest.raises(ArithmeticError, match="a check prime disagrees"):
+        echelon(list(map(list, rows)))
+    assert bool(forks) == (where == "child")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-@needs_fork
-def test_the_spans_of_a_split_must_agree(monkeypatch, forks):
-    caller = os.getpid()
-    eliminated = matrix._eliminated
+@pytest.mark.parametrize("det", [True, False])
+def test_a_rank_above_the_certified_rank_fails_the_check_prime(det, monkeypatch):
+    rows, (rank, _) = _modular_cases(matrix.MODULAR_ORDER)["rank n/2"]
+    monkeypatch.setattr(matrix, "_fork_spans", lambda most: 1)
+    primes = _counted_primes(monkeypatch)
+    assert echelon(list(map(list, rows)), det=det)[0] == rank == matrix.MODULAR_ORDER // 2
+    check = primes[-1]  # the last prime run is the one that checks
+    counted = matrix._eliminated_mod
 
-    def off_by_one_in_a_child(*args):
-        rank, det = eliminated(*args)
-        return rank, det + (os.getpid() != caller)
+    def one_too_many(m, p):
+        rank_p, det_p = counted(m, p)
+        return rank_p + (p == check), det_p
 
-    monkeypatch.setattr(matrix, "_fork_spans", lambda most: 2)
-    monkeypatch.setattr(matrix, "_eliminated", off_by_one_in_a_child)
-    with deadline(60), pytest.raises(ArithmeticError, match="the column spans of one elimination disagree"):
-        echelon([[2, 1, 3], [1, 4, 1], [5, 2, 6]])
-    assert len(forks) == 1
+    monkeypatch.setattr(matrix, "_eliminated_mod", one_too_many)
+    with pytest.raises(ArithmeticError, match="a check prime disagrees"):
+        echelon(list(map(list, rows)), det=det)
 
 
 # ---------------------------------------------------------------------------

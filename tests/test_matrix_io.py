@@ -148,3 +148,19 @@ def test_shipped_fixture_files_parse(fixtures_dir):
         ("identity4-colswap.json", 4),
     ]:
         assert load_matrix(fixtures_dir / name).n == order
+
+
+@pytest.mark.parametrize(
+    "name, text, where",
+    [("long.json", "[[1, {}], [3, 4]]", "invalid JSON"),
+     ("long-ratio.json", '[[1, 2], [3, "1/{}"]]', "row 2, column 2"),
+     ("long.csv", "1,2\n3,{}\n", "row 2, column 2"),
+     ("long-ratio.csv", "1,2\n3,{}/7\n", "row 2, column 2")],
+)
+def test_load_matrix_names_entries_past_the_int_digit_limit(tmp_path, int_digit_limit, name, text, where):
+    # the limit is Python's default here, as in library use; cli.main lifts it for the whole process
+    path = tmp_path / name
+    path.write_text(text.format("7" * 5000), encoding="utf-8")
+    with pytest.raises(MatrixFormatError, match=f"^{where}: .*4300 digits") as raised:
+        load_matrix(path)
+    assert raised.value.__cause__ is None and raised.value.__suppress_context__
