@@ -28,31 +28,28 @@ The registry maps claim ids to runners (see ``claim_ids`` / ``run_claim``):
     ex:corner         corner-pattern matrices: dih and det match their
                       two-term closed forms; dih == det tallied per order
 
-``run_claims`` runs several in one span per usable CPU (``os.sched_getaffinity``, else
-``os.cpu_count``), at most one per claim: this process runs one span and a forked child
-each other one.  The spans pull claims from one queue, the slowest (``oracle:elim``,
-``thm:antitri``, ``ex:corner``) first, and the reports come back in the order asked, so
-the output does not depend on the CPUs.  Without ``os.fork``, with other threads running
-or for one claim, every claim runs in this process; there is no flag.  A tracer loses
-the claims run in a child: under ``bench/run.py --trace 1`` their ``analysis.claim.*_s``
-read 0, as the forked spans of a random search are lost.
+``run_claims`` hands its claims, the slowest (``oracle:elim``, ``thm:antitri``,
+``ex:corner``) first, to the one fork-join, :func:`dihedrant.forks._joined`: one span per
+usable CPU, at most one per claim, pulls them from one queue, and the reports come back in
+the order asked, so the output does not depend on the CPUs.  Without ``os.fork``, with
+other threads running or for one claim, every claim runs in this process; there is no
+flag.  A tracer loses the claims run in a child: under ``bench/run.py --trace 1`` their
+``analysis.claim.*_s`` read 0, as the forked samples of a random search are lost.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
 import operator
-import os
 from dataclasses import astuple, dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from random import Random
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
-from .forks import _fork_spans, _joined_spans
+from .forks import _fork_spans, _joined
 from .functionals import dihedral_terms, dihedrant, elimination_det, leibniz_det, symmetric_terms
 from .matrix import ExactMatrix, echelon, signed_product_sum
 from .matrix_io import matrix_to_json
@@ -568,7 +565,7 @@ IntRows = tuple[tuple[int, ...], ...]  # one search hit: the rows of an integer 
 
 SEARCH_BUDGET = 2_000_000  # most order-4 matrices one search may test
 
-# Least weight, max(n, 4)**3 per sample, of each span a random search splits into: forking
+# Least weight, max(n, 4)**3 per sample, of each span a random search runs: forking
 # two spans beat one process from a weight of about 25,000 to 37,500 at n = 4 and n = 5.
 FORK_WEIGHT = 15_000
 
@@ -591,13 +588,12 @@ def search_dih_equals_det(config: SearchConfig, require_nonzero: bool = False) -
     base**(n*n) matrices of its space, and the evaluated matrices by their count, each of
     order n counting as max(n, 4)**3 / 4**3 of order 4 (a search as at least one).
 
-    A random search splits its sample indices into contiguous spans, one per usable CPU
-    (``os.sched_getaffinity``, else ``os.cpu_count``) but at most one per ``FORK_WEIGHT``
-    of its weight, ``sample_count * max(n, 4)**3``.  This process runs the first span and
-    a forked child each other one; each sample index keeps its own stream, so the hits,
-    joined in span order, are those of one process.  Without ``os.fork``, with other
-    threads running, or below the threshold, the one span runs here; there is no flag.
-    A tracer loses the spans opened in the children.
+    A random search hands its sample indices to the one fork-join,
+    :func:`dihedrant.forks._joined`, with one span per usable CPU but at most one per
+    ``FORK_WEIGHT`` of its weight, ``sample_count * max(n, 4)**3``; each sample index keeps
+    its own stream, so the hits, joined in index order, are those of one process.  Without
+    ``os.fork``, with other threads running, or below the threshold, every sample is drawn
+    here; there is no flag.  A tracer loses the samples drawn in the children.
     """
     n = config.n
     lo, hi = config.entry_range
@@ -622,13 +618,11 @@ def search_dih_equals_det(config: SearchConfig, require_nonzero: bool = False) -
         return _matrix_hits([((lo,) * n,) * n], n, require_nonzero)
     count = config.sample_count
 
-    def span_hits(start: int, stop: int) -> list[IntRows]:
-        samples = _draws(config.seed, stop - start, lambda rng: _square(rng, n, lo, hi), start)
+    def chunk_hits(indices: range) -> list[IntRows]:
+        samples = _draws(config.seed, len(indices), lambda rng: _square(rng, n, lo, hi), indices.start)
         return _matrix_hits(samples, n, require_nonzero)
 
-    spans = _fork_spans(min(count, weight // FORK_WEIGHT))
-    bounds = [count * k // spans for k in range(spans + 1)]
-    return _joined_spans([functools.partial(span_hits, *span) for span in zip(bounds, bounds[1:])])
+    return _joined(chunk_hits, range(count), _fork_spans(min(count, weight // FORK_WEIGHT)))
 
 
 def _matrix_hits(samples: Iterable[IntRows], n: int, require_nonzero: bool) -> list[IntRows]:
@@ -637,7 +631,7 @@ def _matrix_hits(samples: Iterable[IntRows], n: int, require_nonzero: bool) -> l
     hits = []
     for rows in samples:
         dih = signed_product_sum(rows, terms)
-        if (dih or not require_nonzero) and dih == echelon([list(row) for row in rows])[1]:
+        if (dih or not require_nonzero) and dih == echelon(rows)[1]:
             hits.append(rows)
     return hits
 
@@ -759,8 +753,7 @@ def run_claims(ids: list[str], seed: int = 0, trials: int = 200) -> list[Theorem
     """The reports of the claims in ``ids``, in that order; the module docstring says how they run.
 
     Every id, ``trials`` (1 to ``MAX_TRIALS``) and ``seed`` are checked before any claim runs.
-    Each span pulls claim positions, one byte each, from one pipe until it is empty, and sends
-    back (position, report fields) pairs; more than 256 claims run in this process.
+    The join returns each claim's report fields in the queue's order, heavy claims first.
     """
     unknown = next((claim_id for claim_id in ids if claim_id not in CLAIMS), None)
     if unknown is not None:
@@ -772,23 +765,11 @@ def run_claims(ids: list[str], seed: int = 0, trials: int = 200) -> list[Theorem
     if trials > MAX_TRIALS:
         raise ResourceLimitError(f"{trials} trials exceed the limit of {MAX_TRIALS} per claim")
     runs = [CLAIMS[claim_id].run for claim_id in ids]
-    spans = _fork_spans(len(ids)) if len(ids) <= 256 else 1  # a queued position is one byte
-    if spans == 1:
-        return [report for run in runs for report in run(seed, trials)]
     rank = {claim_id: k for k, claim_id in enumerate(_HEAVY_CLAIMS)}
     order = sorted(range(len(ids)), key=lambda i: rank.get(ids[i], len(rank)))
 
-    def pulled() -> list[tuple[int, list[tuple]]]:
-        done = []
-        while position := os.read(queue, 1):
-            done.append((position[0], [astuple(report) for report in runs[position[0]](seed, trials)]))
-        return done
+    def chunk_fields(positions: list[int]) -> list[list[tuple]]:
+        return [[astuple(report) for report in runs[i](seed, trials)] for i in positions]
 
-    queue, write = os.pipe()
-    try:
-        with open(write, "wb") as pipe:  # closed before any fork, so every span sees the end of the queue
-            pipe.write(bytes(order))
-        fields = dict(_joined_spans([pulled] * spans))
-    finally:
-        os.close(queue)
+    fields = dict(zip(order, _joined(chunk_fields, order, _fork_spans(len(ids)))))
     return [TheoremReport(*report) for i in range(len(ids)) for report in fields[i]]

@@ -1,13 +1,12 @@
-"""One fork-join for independent spans of work, behind one guard.
+"""One fork-join for lists of independent items, behind one guard.
 
-A span is a function whose result is a list that ``marshal`` can write.
-``_fork_spans`` decides how many spans run at once, and ``_joined_spans``
-runs them (this process the first, a forked child each other one) and joins
-their lists in span order.  A child only writes its outcome to a pipe that
-the caller reads; the caller writes to no child.  The callers: a random
-search's sample spans and ``run_claims``'s claim spans in
-:mod:`dihedrant.analysis`, and ``echelon``'s prime spans in
-:mod:`dihedrant.matrix`.  A tracer loses the spans that run in a child.
+``_fork_spans`` decides how many spans run at once, and ``_joined`` runs a function over
+contiguous chunks of the items in that many processes (this one and forked children) and
+joins the chunks' lists in chunk order.  The spans pull the chunks from one queue, so a span
+on a busy CPU takes fewer of them.  A child only writes its outcome to a pipe that the
+caller reads; the caller writes to no child.  The callers: a random search's sample indices
+and ``run_claims``'s claims in :mod:`dihedrant.analysis`, and ``echelon``'s primes in
+:mod:`dihedrant.matrix`.  A tracer loses the chunks that run in a child.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from __future__ import annotations
 import marshal
 import os
 import sys
-from typing import Callable, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -35,18 +34,35 @@ def _fork_spans(most: int) -> int:
     return max(1, min(cpus, most))
 
 
-def _joined_spans(spans: list[Callable[[], list[T]]]) -> list[T]:
-    """The lists that the spans return, joined in span order.
+def _joined(function: Callable[[Sequence], list[T]], items: Sequence, spans: int) -> list[T]:
+    """``function(items)``, for a function whose list over the items is its lists over their slices joined.
 
-    This process runs the first span; each other span runs in a forked child, which sends back
-    its list (it must marshal) or its exception over a pipe and leaves by ``os._exit``.  Every
-    child is reaped before this returns or raises.
+    With one span or fewer than two items this process calls it.  Otherwise the items are cut
+    into at most 256 contiguous chunks, whose positions go to one pipe, one byte each, before
+    any fork; this process and ``spans - 1`` forked children pull positions until the pipe is
+    empty.  A child sends back its (position, list) pairs (they must marshal) or its exception
+    and leaves by ``os._exit``.  Every child is reaped before this returns or raises.
     """
-    children = []  # [pid, read end] of each forked span, in span order; None once reaped or closed
+    if spans < 2 or len(items) < 2:
+        return function(items)
+    chunks = min(len(items), 256)
+    bounds = [len(items) * k // chunks for k in range(chunks + 1)]
+
+    def pulled() -> list[tuple[int, list[T]]]:
+        done = []
+        while position := os.read(queue, 1):
+            k = position[0]
+            done.append((k, function(items[bounds[k] : bounds[k + 1]])))
+        return done
+
+    queue, write = os.pipe()
+    children = []  # [pid, read end] of each forked span; None once reaped or closed
     try:
-        for span in spans[1:]:
-            children.append(_fork_span(span))
-        joined = spans[0]()
+        with open(write, "wb") as pipe:  # closed before any fork, so every span sees the end of the queue
+            pipe.write(bytes(range(chunks)))
+        for _ in range(spans - 1):
+            children.append(_fork_span(pulled))
+        done = pulled()
         for child in children:
             pid, read = child
             child[1] = None  # the file object owns the read end from here, and closes it
@@ -61,9 +77,9 @@ def _joined_spans(spans: list[Callable[[], list[T]]]) -> list[T]:
                 import pickle
 
                 raise pickle.loads(payload)
-            joined += payload
-        return joined
+            done += payload
     finally:
+        os.close(queue)
         for pid, read in children:
             if read is not None:
                 os.close(read)
@@ -72,6 +88,8 @@ def _joined_spans(spans: list[Callable[[], list[T]]]) -> list[T]:
 
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+    lists = dict(done)
+    return [result for k in range(chunks) for result in lists[k]]
 
 
 def _fork_span(span: Callable[[], list]) -> list:

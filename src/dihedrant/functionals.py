@@ -74,4 +74,4 @@ def leibniz_det(A: ExactMatrix) -> Fraction:
 def elimination_det(A: ExactMatrix) -> Fraction:
     """Determinant by fraction-free elimination; agrees with leibniz_det."""
     ints, scales = A._cleared()
-    return Fraction(echelon(list(map(list, ints)))[1], scales)
+    return Fraction(echelon(ints)[1], scales)

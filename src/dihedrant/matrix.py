@@ -15,12 +15,12 @@ functional, scheme and search runs on: ``ExactMatrix._cleared`` turns a
 matrix's rows into integer rows once, ``signed_product_sum`` is the one
 loop over signed permutation products, and ``echelon`` is the one
 elimination, serving both rank and determinant: fraction-free below order
-``MODULAR_ORDER``, modulo primes shared out among the usable CPUs from it on.
+``MODULAR_ORDER``, modulo primes shared out among the usable CPUs from it on by
+:func:`dihedrant.forks._joined`.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import re
@@ -30,7 +30,7 @@ from array import array
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .forks import _fork_spans, _joined_spans
+from .forks import _fork_spans, _joined
 from .perm import Permutation
 
 
@@ -176,14 +176,14 @@ class ExactMatrix:
 
     def rank(self) -> int:
         """Exact rank over the rationals (row scaling does not change it)."""
-        return echelon(list(map(list, self._cleared()[0])), det=False)[0]
+        return echelon(self._cleared()[0], det=False)[0]
 
     def _cleared(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """Each row scaled by the lcm of its denominators, and the product of the scales.
 
         The dihedrant, the determinant and every scheme are linear in each row, so their
         value is their value on these integer rows divided by the product; rank does not
-        change.  Computed once; the rows are tuples, so an in-place ``echelon`` raises.
+        change.  Computed once; the rows are tuples, and nothing writes to them.
         """
         if self._int_rows is None:
             ints = []
@@ -213,23 +213,24 @@ class ExactMatrix:
 MODULAR_ORDER = 48
 
 
-def echelon(m: list[list[int]], det: bool = True) -> tuple[int, int | None]:
+def echelon(m: Sequence[Sequence[int]], det: bool = True) -> tuple[int, int | None]:
     """Rank and determinant of a square integer matrix; the determinant is 0 below full rank.
 
-    Below order ``MODULAR_ORDER`` the fraction-free (Bareiss) loop ``_eliminated`` runs in
-    place on ``m``, which is scratch afterwards.  From that order on, Gaussian elimination runs
-    modulo word-size primes (``_eliminated_mod``), shared out among the usable CPUs by
-    :func:`dihedrant.forks._joined_spans`, and the Chinese remainder theorem joins them.  With H
+    ``m`` is only read.  Below order ``MODULAR_ORDER`` the fraction-free (Bareiss) loop
+    ``_eliminated`` runs on a copy.  From that order on, Gaussian elimination runs modulo
+    word-size primes (``_eliminated_mod``), shared out among the usable CPUs by
+    :func:`dihedrant.forks._joined`, and the Chinese remainder theorem joins them.  With H
     the product of the row norms (Hadamard's bound on the determinant), the determinant is the
     balanced residue once the primes' product exceeds 2H; the rank is the largest rank mod p,
     r, once the product exceeds the product of the r + 1 largest row norms, which bounds every
-    minor of order r + 1.  One more prime must then agree: the same determinant modulo it and
-    no larger rank, else ``ArithmeticError``.  With ``det`` false only the rank is sought: on this
-    path a full rank modulo the first prime ends the work, and the determinant is None.
+    minor of order r + 1.  One more prime must then agree: no larger rank and, if the
+    determinant is sought, the same determinant modulo it, else ``ArithmeticError``.  With
+    ``det`` false only the rank is sought: on this path a full rank modulo any prime ends the
+    work, and the determinant is None.
     """
     n = len(m)
     if n < MODULAR_ORDER:
-        return _eliminated(m)
+        return _eliminated([list(row) for row in m])
     squares = sorted((sum(e * e for e in row) for row in m), reverse=True)  # the squared row norms
     bounds = [*itertools.accumulate(squares, int.__mul__, initial=1)]  # bounds[k]: of the k largest
 
@@ -245,24 +246,18 @@ def echelon(m: list[list[int]], det: bool = True) -> tuple[int, int | None]:
             planned *= batch[-1]
         batch.append(_prime(bits, used + len(batch)))  # the first prime, or one more to check
         used += len(batch)
-        spans = _fork_spans(len(batch))
-        joined = _joined_spans([functools.partial(_residues, m, batch[k::spans]) for k in range(spans)])
-        for p, rank_p, det_p in sorted(joined, reverse=True):  # in the primes' (descending) order
+        residues = _joined(lambda primes: [_eliminated_mod(m, p) for p in primes], batch, _fork_spans(len(batch)))
+        for p, (rank_p, det_p) in zip(batch, residues):
             if not certified(product, rank):
                 residue += product * ((det_p - residue) * pow(product, -1, p) % p)
                 product *= p
                 residue -= product if 2 * residue > product else 0  # kept balanced
                 rank = max(rank, rank_p)
-            elif rank_p > rank or det_p != residue % p:
+            elif rank_p > rank or (det and det_p != residue % p):
                 raise ArithmeticError("a check prime disagrees with the multi-modular rank and determinant")
             else:
                 checked = True
     return rank, residue if det else None
-
-
-def _residues(m: list[list[int]], primes: list[int]) -> list[tuple[int, int, int]]:
-    """(p, rank mod p, determinant mod p) for each of the primes: one span of ``echelon``."""
-    return [(p, *_eliminated_mod(m, p)) for p in primes]
 
 
 def _eliminated(m: list[list[int]]) -> tuple[int, int]:
@@ -297,7 +292,7 @@ def _eliminated(m: list[list[int]]) -> tuple[int, int]:
     return (n, sign * prev) if rank == n else (rank, 0)
 
 
-def _eliminated_mod(m: list[list[int]], p: int) -> tuple[int, int]:
+def _eliminated_mod(m: Sequence[Sequence[int]], p: int) -> tuple[int, int]:
     """Rank and determinant of ``m`` modulo the prime p, which needs p + len(m) * p * p < 2**64.
 
     Each row is one int of 64-bit fields, field 0 the current column.  Each step shifts field 0

@@ -607,8 +607,8 @@ def test_an_exception_in_a_forked_span_reaches_the_caller(forked, hook, monkeypa
     def fails_in_a_child(*args):
         if os.getpid() != parent:
             raise OverflowError("a forked span failed")
-        if not paused:  # so every child pulls a claim before this process can empty the queue
-            paused.append(time.sleep(0.2))
+        if len(paused) < 2:  # so every child pulls a chunk before this process can empty the queue; two,
+            paused.append(time.sleep(0.2))  # as an elimination's first prime runs here before any fork
         return original(*args)
 
     monkeypatch.setattr(*hook, fails_in_a_child)
@@ -653,8 +653,8 @@ original, parent, paused = getattr(module, name), os.getpid(), []
 def fails_in_a_child(*args):
     if os.getpid() != parent:
         raise OverflowError("a forked span failed")
-    if not paused:  # so every child fails before this process reads from or writes to a pipe
-        paused.append(time.sleep(0.2))
+    if len(paused) < 2:  # so every child fails before this process reads from or writes to a pipe; two,
+        paused.append(time.sleep(0.2))  # as an elimination's first prime runs here before any fork
     return original(*args)
 
 setattr(module, name, fails_in_a_child)
@@ -749,7 +749,7 @@ def test_run_claims_reports_as_each_claim_run_alone(forks):
     assert reports == [report for claim_id in ids for report in run_claim(claim_id, seed=11, trials=5)]
 
 
-@pytest.mark.parametrize("claims, forked", [(2, True), (256, True), (257, False)])
+@pytest.mark.parametrize("claims, forked", [(2, True), (256, True), (257, True)])
 def test_the_claim_queue_forks_up_to_one_byte_of_positions(monkeypatch, forks, claims, forked):
     patched = dict(CLAIMS)
     patched["test:cheap"] = analysis.Claim("test:cheap", lambda seed, trials: [TheoremReport("test:cheap", trials, 0)])

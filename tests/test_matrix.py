@@ -1,6 +1,7 @@
 """Exact matrices: structure operations, rank, and the signed-product kernel."""
 
 import functools
+import math
 import os
 from array import array
 from decimal import Decimal
@@ -189,8 +190,8 @@ def test_the_cleared_rows_are_kept_and_never_mutated():
     assert A.rank() == 3
     assert A._cleared() is cleared
     assert cleared == (((0, 1, 2), (6, 1, 3), (4, 1, 2)), 6)
-    with pytest.raises(TypeError):  # tuples: an in-place elimination of the cache fails loudly
-        echelon(cleared[0])
+    assert echelon(cleared[0]) == (3, 4)  # echelon only reads its rows: the cache stays as it was
+    assert A._cleared() is cleared and cleared == (((0, 1, 2), (6, 1, 3), (4, 1, 2)), 6)
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +418,10 @@ def test_the_modular_path_equals_bareiss(spans, monkeypatch, forks):
         for n in (matrix.MODULAR_ORDER - 1, matrix.MODULAR_ORDER):
             for name, (rows, expected) in _modular_cases(n).items():
                 forks.clear()
-                assert echelon(list(map(list, rows))) == expected, (n, name)
-                assert bool(forks) == (spans > 1 and n == matrix.MODULAR_ORDER), (n, name)
-                ranked = echelon(list(map(list, rows)), det=False)
+                assert echelon(rows) == expected, (n, name)
+                # the all-zero matrix is certified one prime at a time, and a one-prime batch runs in the caller
+                assert bool(forks) == (spans > 1 and n == matrix.MODULAR_ORDER and name != "all zero"), (n, name)
+                ranked = echelon(rows, det=False)
                 assert ranked == (expected[0], expected[1] if n < matrix.MODULAR_ORDER else None), (n, name)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -447,6 +449,16 @@ def test_the_rank_of_a_full_rank_matrix_needs_one_prime(monkeypatch):
     assert elimination_det(A) == matrix._eliminated(rows)[1] and len(primes) > 20  # Hadamard: about 760 bits
 
 
+def test_a_full_rank_that_the_first_prime_misses_needs_no_determinant(monkeypatch):
+    # the primes after the first certify the full rank; their determinants are not checked against a bound
+    n = matrix.MODULAR_ORDER
+    rows = random_int_rows(Random(41), n, -9, 9)
+    rows[0] = [matrix._prime((64 - n.bit_length()) // 2, 0) * e for e in rows[0]]  # zero modulo the first prime
+    monkeypatch.setattr(matrix, "_fork_spans", lambda most: 1)
+    primes = _counted_primes(monkeypatch)
+    assert ExactMatrix(rows).rank() == n and len(primes) > 2
+
+
 @pytest.mark.parametrize("where", ["caller", "child"])
 def test_a_wrong_residue_fails_the_check_prime(where, monkeypatch, forks):
     if where == "child" and not hasattr(os, "fork"):
@@ -464,7 +476,7 @@ def test_a_wrong_residue_fails_the_check_prime(where, monkeypatch, forks):
 
     monkeypatch.setattr(matrix, "_eliminated_mod", off_by_one)
     with deadline(60), pytest.raises(ArithmeticError, match="a check prime disagrees"):
-        echelon(list(map(list, rows)))
+        echelon(rows)
     assert bool(forks) == (where == "child")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -475,7 +487,7 @@ def test_a_rank_above_the_certified_rank_fails_the_check_prime(det, monkeypatch)
     rows, (rank, _) = _modular_cases(matrix.MODULAR_ORDER)["rank n/2"]
     monkeypatch.setattr(matrix, "_fork_spans", lambda most: 1)
     primes = _counted_primes(monkeypatch)
-    assert echelon(list(map(list, rows)), det=det)[0] == rank == matrix.MODULAR_ORDER // 2
+    assert echelon(rows, det=det)[0] == rank == matrix.MODULAR_ORDER // 2
     check = primes[-1]  # the last prime run is the one that checks
     counted = matrix._eliminated_mod
 
@@ -485,7 +497,61 @@ def test_a_rank_above_the_certified_rank_fails_the_check_prime(det, monkeypatch)
 
     monkeypatch.setattr(matrix, "_eliminated_mod", one_too_many)
     with pytest.raises(ArithmeticError, match="a check prime disagrees"):
-        echelon(list(map(list, rows)), det=det)
+        echelon(rows, det=det)
+
+
+@pytest.mark.parametrize("n", [63, 64])
+def test_the_packed_kernel_equals_bareiss_at_its_field_edges(n):
+    # 63 is the largest order with 29-bit fields, where p + n * p * p < 2**64 is tightest; 64 the first with 28
+    bits = (64 - n.bit_length()) // 2
+    first = matrix._prime(bits, 0)
+    assert bits == {63: 29, 64: 28}[n] and first + n * first * first < 2**64
+    rng = Random(n)
+    cases = {"full rank": random_int_rows(rng, n, -9, 9),
+             "rank n/2": ExactMatrix(low_rank_rows(rng, n, n // 2))._cleared()[0]}
+    if n == 63:  # off the diagonal every entry is -1 modulo the first prime, the largest residue a field starts at
+        cases["-1 mod p"] = [[rng.randint(-9, 9) if i == j else first * rng.randint(-2, 2) - 1 for j in range(n)]
+                             for i in range(n)]
+    for name, rows in cases.items():
+        expected = matrix._eliminated(list(map(list, rows)))
+        assert expected[0] == (n // 2 if name == "rank n/2" else n), name
+        assert echelon(rows) == expected, name
+        assert echelon(rows, det=False)[0] == expected[0], name
+
+
+@pytest.mark.parametrize("bits", [27, 28, 29])
+def test_is_prime_equals_trial_division_below_each_field_width(bits):
+    found, q = [], (1 << bits) - 1
+    while len(found) < 60:  # every odd value from 2**bits - 1 down to the 60th largest prime below it
+        prime = all(q % d for d in range(3, math.isqrt(q) + 1, 2))
+        assert matrix._is_prime(q) == prime, q
+        found += [q] * prime
+        q -= 2
+    assert [matrix._prime(bits, k) for k in range(60)] == found
+
+
+@functools.lru_cache(maxsize=None)
+def _wide_case() -> tuple[tuple[tuple[int, ...], ...], tuple[int, int]]:
+    """Rows of order MODULAR_ORDER with entries of about 170 bits, and their rank and determinant by Bareiss."""
+    rng = Random(170)
+    n = matrix.MODULAR_ORDER
+    rows = tuple(tuple(rng.getrandbits(170) - (1 << 169) for _ in range(n)) for _ in range(n))
+    return rows, matrix._eliminated(list(map(list, rows)))
+
+
+@pytest.mark.parametrize("spans", [1, 2])
+def test_an_elimination_of_more_than_256_primes_equals_bareiss(spans, monkeypatch, forks):
+    if spans > 1 and not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
+    rows, expected = _wide_case()
+    monkeypatch.setattr(matrix, "_fork_spans", lambda most: spans)
+    primes = _counted_primes(monkeypatch)
+    with deadline(120):
+        assert echelon(rows) == expected and expected[0] == matrix.MODULAR_ORDER
+    assert bool(forks) == (spans > 1)
+    assert len(primes) > 256 or spans > 1  # a batch of more primes than the queue has positions
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # ---------------------------------------------------------------------------
