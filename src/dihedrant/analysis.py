@@ -29,12 +29,8 @@ The registry maps claim ids to runners (see ``claim_ids`` / ``run_claim``):
                       two-term closed forms; dih == det tallied per order
 
 ``run_claims`` hands its claims, the slowest (``oracle:elim``, ``thm:antitri``,
-``ex:corner``) first, to the one fork-join, :func:`dihedrant.forks._joined`: one span per
-usable CPU, at most one per claim, pulls them from one queue, and the reports come back in
-the order asked, so the output does not depend on the CPUs.  Without ``os.fork``, with
-other threads running or for one claim, every claim runs in this process; there is no
-flag.  A tracer loses the claims run in a child: under ``bench/run.py --trace 1`` their
-``analysis.claim.*_s`` read 0, as the forked samples of a random search are lost.
+``ex:corner``) first, to the one fork-join, :func:`dihedrant.forks._joined`, and the
+reports come back in the order asked, so the output does not depend on the CPUs.
 """
 
 from __future__ import annotations
@@ -49,7 +45,7 @@ from fractions import Fraction
 from random import Random
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
-from .forks import _fork_spans, _joined
+from .forks import _joined
 from .functionals import dihedral_terms, dihedrant, elimination_det, leibniz_det, symmetric_terms
 from .matrix import ExactMatrix, echelon, signed_product_sum
 from .matrix_io import matrix_to_json
@@ -76,7 +72,7 @@ class SearchMode(Enum):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """The space and sampling plan of one search for dih == det."""
+    """The space and sampling plan of one search for dih == det; ``mode`` may be given by its value."""
 
     n: int
     entry_range: tuple[int, int] = (-9, 9)
@@ -85,9 +81,14 @@ class SearchConfig:
     mode: SearchMode = SearchMode.RANDOM
 
     def __post_init__(self) -> None:
+        lo, hi = self.entry_range
+        for name, value in (("n", self.n), ("entry_range[0]", lo), ("entry_range[1]", hi),
+                            ("sample_count", self.sample_count), ("seed", self.seed)):
+            if type(value) is not int:  # bools too; a float would fail inside the search
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        object.__setattr__(self, "mode", SearchMode(self.mode))  # a bare "exhaustive" would read as random
         if self.n < 1:
             raise ValueError(f"order must be positive, got {self.n}")
-        lo, hi = self.entry_range
         if lo > hi:
             raise ValueError(f"empty entry range [{lo}, {hi}]")
         if self.sample_count < 0:
@@ -589,11 +590,9 @@ def search_dih_equals_det(config: SearchConfig, require_nonzero: bool = False) -
     order n counting as max(n, 4)**3 / 4**3 of order 4 (a search as at least one).
 
     A random search hands its sample indices to the one fork-join,
-    :func:`dihedrant.forks._joined`, with one span per usable CPU but at most one per
-    ``FORK_WEIGHT`` of its weight, ``sample_count * max(n, 4)**3``; each sample index keeps
-    its own stream, so the hits, joined in index order, are those of one process.  Without
-    ``os.fork``, with other threads running, or below the threshold, every sample is drawn
-    here; there is no flag.  A tracer loses the samples drawn in the children.
+    :func:`dihedrant.forks._joined`, with at most one span per ``FORK_WEIGHT`` of its weight,
+    ``sample_count * max(n, 4)**3``; each sample index keeps its own stream, so the hits,
+    joined in index order, are those of one process.
     """
     n = config.n
     lo, hi = config.entry_range
@@ -622,7 +621,7 @@ def search_dih_equals_det(config: SearchConfig, require_nonzero: bool = False) -
         samples = _draws(config.seed, len(indices), lambda rng: _square(rng, n, lo, hi), indices.start)
         return _matrix_hits(samples, n, require_nonzero)
 
-    return _joined(chunk_hits, range(count), _fork_spans(min(count, weight // FORK_WEIGHT)))
+    return _joined(chunk_hits, range(count), weight // FORK_WEIGHT)
 
 
 def _matrix_hits(samples: Iterable[IntRows], n: int, require_nonzero: bool) -> list[IntRows]:
@@ -771,5 +770,5 @@ def run_claims(ids: list[str], seed: int = 0, trials: int = 200) -> list[Theorem
     def chunk_fields(positions: list[int]) -> list[list[tuple]]:
         return [[astuple(report) for report in runs[i](seed, trials)] for i in positions]
 
-    fields = dict(zip(order, _joined(chunk_fields, order, _fork_spans(len(ids)))))
+    fields = dict(zip(order, _joined(chunk_fields, order)))
     return [TheoremReport(*report) for i in range(len(ids)) for report in fields[i]]

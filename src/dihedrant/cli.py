@@ -104,14 +104,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.claim == "all":
-        ids = analysis.claim_ids()
-    elif args.claim in analysis.CLAIMS:
-        ids = [args.claim]
-    else:
+    if args.claim != "all" and args.claim not in analysis.CLAIMS:
         known = ", ".join(analysis.claim_ids())
-        print(f"error: unknown claim {args.claim!r}; known claims: all, {known}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"unknown claim {args.claim!r}; known claims: all, {known}")
+    ids = analysis.claim_ids() if args.claim == "all" else [args.claim]
     reports = analysis.run_claims(ids, seed=args.seed, trials=args.trials)
     for report in reports:
         print(report.render())
@@ -151,8 +147,7 @@ def _cmd_scheme(args) -> int:
     try:
         n = int(args.which)
     except ValueError:
-        print(f"error: expected an order or '4x4-corrected', got {args.which!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"expected an order or '4x4-corrected', got {args.which!r}") from None
     _check_table_order(n)
     print(render_scheme_text(false_sarrus_scheme(n)))
     return EXIT_OK
@@ -164,7 +159,7 @@ def _cmd_search(args) -> int:
         entry_range=(args.lo, args.hi),
         sample_count=args.count,
         seed=args.seed,
-        mode=analysis.SearchMode(args.mode),
+        mode=args.mode,
     )
     hits = analysis.search_dih_equals_det(config, require_nonzero=args.require_nonzero)
     print(json.dumps(hits))

@@ -1,12 +1,15 @@
 """One fork-join for lists of independent items, behind one guard.
 
-``_fork_spans`` decides how many spans run at once, and ``_joined`` runs a function over
-contiguous chunks of the items in that many processes (this one and forked children) and
-joins the chunks' lists in chunk order.  The spans pull the chunks from one queue, so a span
-on a busy CPU takes fewer of them.  A child only writes its outcome to a pipe that the
-caller reads; the caller writes to no child.  The callers: a random search's sample indices
-and ``run_claims``'s claims in :mod:`dihedrant.analysis`, and ``echelon``'s primes in
-:mod:`dihedrant.matrix`.  A tracer loses the chunks that run in a child.
+``_joined`` runs a function over contiguous chunks of the items in several processes (this
+one and forked children) and joins the chunks' lists in chunk order, so its result is the
+serial call's however many CPUs run it.  It alone decides how many spans run: one per
+usable CPU (``os.sched_getaffinity``, else ``os.cpu_count``), but never more than items,
+nor than the caller's ``most``.  Without ``os.fork`` (Windows), with other threads running,
+which a forked child would not have, or with a cap below two, every item runs in this
+process; there is no flag.  The spans pull the chunks from one queue, so a span on a busy
+CPU takes fewer of them.  A child only writes its outcome to a pipe that the caller reads;
+the caller writes to no child.  A tracer cannot see into the children, so it loses the
+chunks that run there.
 """
 
 from __future__ import annotations
@@ -19,31 +22,26 @@ from typing import Callable, Sequence, TypeVar
 T = TypeVar("T")
 
 
-def _fork_spans(most: int) -> int:
-    """How many spans to run at once: one per usable CPU, at most ``most`` and at least one.
-
-    The CPUs are ``os.sched_getaffinity``'s, else ``os.cpu_count``'s.  Without ``os.fork``, or
-    with other threads running, which a forked child would not have, it is one.
-    """
-    if most < 2:  # decided before any system call: a one-prime elimination asks this
-        return 1
+def _fork_spans() -> int:
+    """How many spans this process may run at once: its usable CPUs, or one where it cannot fork."""
     threading = sys.modules.get("threading")
     if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
         return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return max(1, min(cpus, most))
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _joined(function: Callable[[Sequence], list[T]], items: Sequence, spans: int) -> list[T]:
+def _joined(function: Callable[[Sequence], list[T]], items: Sequence, most: int | None = None) -> list[T]:
     """``function(items)``, for a function whose list over the items is its lists over their slices joined.
 
-    With one span or fewer than two items this process calls it.  Otherwise the items are cut
+    The spans are ``_fork_spans()``, capped at ``len(items)`` and at ``most`` when given; below
+    two, decided before any system call, this process calls it.  Otherwise the items are cut
     into at most 256 contiguous chunks, whose positions go to one pipe, one byte each, before
     any fork; this process and ``spans - 1`` forked children pull positions until the pipe is
     empty.  A child sends back its (position, list) pairs (they must marshal) or its exception
     and leaves by ``os._exit``.  Every child is reaped before this returns or raises.
     """
-    if spans < 2 or len(items) < 2:
+    cap = len(items) if most is None else min(len(items), most)
+    if cap < 2 or (spans := min(cap, _fork_spans())) < 2:
         return function(items)
     chunks = min(len(items), 256)
     bounds = [len(items) * k // chunks for k in range(chunks + 1)]

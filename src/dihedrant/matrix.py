@@ -15,8 +15,7 @@ functional, scheme and search runs on: ``ExactMatrix._cleared`` turns a
 matrix's rows into integer rows once, ``signed_product_sum`` is the one
 loop over signed permutation products, and ``echelon`` is the one
 elimination, serving both rank and determinant: fraction-free below order
-``MODULAR_ORDER``, modulo primes shared out among the usable CPUs from it on by
-:func:`dihedrant.forks._joined`.
+``MODULAR_ORDER``, and from it on modulo primes shared out by :func:`dihedrant.forks._joined`.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from array import array
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .forks import _fork_spans, _joined
+from .forks import _joined
 from .perm import Permutation
 
 
@@ -218,7 +217,7 @@ def echelon(m: Sequence[Sequence[int]], det: bool = True) -> tuple[int, int | No
 
     ``m`` is only read.  Below order ``MODULAR_ORDER`` the fraction-free (Bareiss) loop
     ``_eliminated`` runs on a copy.  From that order on, Gaussian elimination runs modulo
-    word-size primes (``_eliminated_mod``), shared out among the usable CPUs by
+    word-size primes (``_eliminated_mod``), shared out by the one fork-join
     :func:`dihedrant.forks._joined`, and the Chinese remainder theorem joins them.  With H
     the product of the row norms (Hadamard's bound on the determinant), the determinant is the
     balanced residue once the primes' product exceeds 2H; the rank is the largest rank mod p,
@@ -246,7 +245,7 @@ def echelon(m: Sequence[Sequence[int]], det: bool = True) -> tuple[int, int | No
             planned *= batch[-1]
         batch.append(_prime(bits, used + len(batch)))  # the first prime, or one more to check
         used += len(batch)
-        residues = _joined(lambda primes: [_eliminated_mod(m, p) for p in primes], batch, _fork_spans(len(batch)))
+        residues = _joined(lambda primes: [_eliminated_mod(m, p) for p in primes], batch)
         for p, (rank_p, det_p) in zip(batch, residues):
             if not certified(product, rank):
                 residue += product * ((det_p - residue) * pow(product, -1, p) % p)

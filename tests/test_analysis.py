@@ -696,6 +696,31 @@ def test_search_config_validation():
         SearchConfig(n=3, sample_count=-1)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"n": 4.0}, "n must be an int, got 4.0"),
+    ({"n": True}, "n must be an int, got True"),
+    ({"entry_range": (0, 1.5)}, r"entry_range\[1\] must be an int, got 1.5"),
+    ({"entry_range": (False, 1)}, r"entry_range\[0\] must be an int, got False"),
+    ({"sample_count": 20_000.0}, "sample_count must be an int, got 20000.0"),
+    ({"seed": 1.5}, "seed must be an int, got 1.5"),
+    ({"mode": "exhaustively"}, "'exhaustively' is not a valid SearchMode"),
+])
+def test_search_config_rejects_a_bad_field_before_any_work_or_fork(fields, message, monkeypatch, forks):
+    worked = []
+    monkeypatch.setattr(analysis, "_matrix_hits", lambda *args: worked.append(args))
+    monkeypatch.setattr(analysis, "_exhaustive_hits", lambda *args: worked.append(args))
+    with pytest.raises(ValueError, match=message):  # 20,000 samples of order 4 would fork
+        search_dih_equals_det(SearchConfig(**{"n": 4, "sample_count": 20_000, **fields}))
+    assert worked == [] and forks == []
+
+
+def test_search_config_reads_a_mode_by_its_value():
+    by_value = SearchConfig(n=2, entry_range=(0, 1), mode="exhaustive")
+    assert by_value == SearchConfig(n=2, entry_range=(0, 1), mode=SearchMode.EXHAUSTIVE)
+    assert by_value.mode is SearchMode.EXHAUSTIVE
+    assert len(search_dih_equals_det(by_value)) == 10  # read as random, 200 samples gave 127 hits
+
+
 def test_negative_seeds_are_rejected():
     # Random(-x) seeds like Random(x), so a negative seed would repeat a positive one's stream
     with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):

@@ -18,7 +18,7 @@ from dihedrant.matrix import (
     parse_scalar,
     signed_product_sum,
 )
-from dihedrant.perm import Permutation, compose, dihedral_group, rotation_perm, sig
+from dihedrant.perm import Permutation, compose, dihedral_group, rotation_perm, sgn, sig
 
 from dihedrant.functionals import dihedrant, elimination_det
 from dihedrant.matrix_io import load_matrix
@@ -413,7 +413,7 @@ def test_the_modular_cases_match_the_oracles():
 def test_the_modular_path_equals_bareiss(spans, monkeypatch, forks):
     if spans > 1 and not hasattr(os, "fork"):
         pytest.skip("needs os.fork")
-    monkeypatch.setattr(matrix, "_fork_spans", lambda most: spans)
+    monkeypatch.setattr("dihedrant.forks._fork_spans", lambda: spans)
     with deadline(120):
         for n in (matrix.MODULAR_ORDER - 1, matrix.MODULAR_ORDER):
             for name, (rows, expected) in _modular_cases(n).items():
@@ -443,7 +443,7 @@ def _counted_primes(monkeypatch) -> list[int]:
 def test_the_rank_of_a_full_rank_matrix_needs_one_prime(monkeypatch):
     rows = random_int_rows(Random(37), 128, -9, 9)
     A = ExactMatrix(rows)
-    monkeypatch.setattr(matrix, "_fork_spans", lambda most: 1)
+    monkeypatch.setattr("dihedrant.forks._fork_spans", lambda: 1)
     primes = _counted_primes(monkeypatch)
     assert A.rank() == 128 and len(primes) == 1
     assert elimination_det(A) == matrix._eliminated(rows)[1] and len(primes) > 20  # Hadamard: about 760 bits
@@ -454,7 +454,7 @@ def test_a_full_rank_that_the_first_prime_misses_needs_no_determinant(monkeypatc
     n = matrix.MODULAR_ORDER
     rows = random_int_rows(Random(41), n, -9, 9)
     rows[0] = [matrix._prime((64 - n.bit_length()) // 2, 0) * e for e in rows[0]]  # zero modulo the first prime
-    monkeypatch.setattr(matrix, "_fork_spans", lambda most: 1)
+    monkeypatch.setattr("dihedrant.forks._fork_spans", lambda: 1)
     primes = _counted_primes(monkeypatch)
     assert ExactMatrix(rows).rank() == n and len(primes) > 2
 
@@ -463,7 +463,7 @@ def test_a_full_rank_that_the_first_prime_misses_needs_no_determinant(monkeypatc
 def test_a_wrong_residue_fails_the_check_prime(where, monkeypatch, forks):
     if where == "child" and not hasattr(os, "fork"):
         pytest.skip("needs os.fork")
-    monkeypatch.setattr(matrix, "_fork_spans", lambda most: 1 if where == "caller" else 2)
+    monkeypatch.setattr("dihedrant.forks._fork_spans", lambda: 1 if where == "caller" else 2)
     caller = os.getpid()
     rows, expected = _modular_cases(matrix.MODULAR_ORDER)["full rank"]
     first = matrix._prime((64 - matrix.MODULAR_ORDER.bit_length()) // 2, 0)  # always run in this process
@@ -485,7 +485,7 @@ def test_a_wrong_residue_fails_the_check_prime(where, monkeypatch, forks):
 @pytest.mark.parametrize("det", [True, False])
 def test_a_rank_above_the_certified_rank_fails_the_check_prime(det, monkeypatch):
     rows, (rank, _) = _modular_cases(matrix.MODULAR_ORDER)["rank n/2"]
-    monkeypatch.setattr(matrix, "_fork_spans", lambda most: 1)
+    monkeypatch.setattr("dihedrant.forks._fork_spans", lambda: 1)
     primes = _counted_primes(monkeypatch)
     assert echelon(rows, det=det)[0] == rank == matrix.MODULAR_ORDER // 2
     check = primes[-1]  # the last prime run is the one that checks
@@ -519,6 +519,35 @@ def test_the_packed_kernel_equals_bareiss_at_its_field_edges(n):
         assert echelon(rows, det=False)[0] == expected[0], name
 
 
+@pytest.mark.parametrize("n", [255, 256])
+def test_the_packed_kernel_at_its_next_field_edge(n):
+    # 255 is the largest order with 28-bit fields and 256 the first with 27; too large for the Bareiss
+    # oracle, so every rank and determinant here is known by construction
+    bits = (64 - n.bit_length()) // 2
+    first = matrix._prime(bits, 0)
+    assert bits == {255: 28, 256: 27}[n] and first + n * first * first < 2**64
+    rng = Random(n)
+    # a unit upper triangle with sparse entries of +-1 above the diagonal, its rows permuted: det sgn(order)
+    upper = [[int(i == j) or (rng.choice((-1, 1)) if j > i and rng.random() < 3 / n else 0) for j in range(n)]
+             for i in range(n)]
+    order = rng.sample(range(n), n)
+    permuted = [upper[i] for i in order]
+    assert echelon(permuted) == (n, sgn(Permutation([i + 1 for i in order])))
+    assert echelon(permuted, det=False) == (n, None)
+    # three rows that lead with a unit lower triangle, and integer combinations of them: rank 3
+    base = [[*lead, *(rng.randint(-9, 9) for _ in range(n - 3))] for lead in ([1, 0, 0], [2, 1, 0], [5, -3, 1])]
+    weights = [[rng.randint(-3, 3) for _ in base] for _ in range(n - 3)]
+    rank3 = base + [[sum(w * e for w, e in zip(row, column)) for column in zip(*base)] for row in weights]
+    rng.shuffle(rank3)
+    assert echelon(rank3) == (3, 0) and echelon(rank3, det=False) == (3, None)
+    if n == 255:  # entries of -1 modulo the first prime, the largest residue a field starts at
+        upper = [[1 if i == j else first * rng.randint(-2, 2) - 1 if j > i else 0 for j in range(n)] for i in range(n)]
+        assert echelon(upper, det=False) == (n, None)
+        # off the diagonal too: 2I - J modulo the first prime, whose determinant 2**254 * -253 it does not divide
+        dense = [[1 if i == j else first * rng.randint(-2, 2) - 1 for j in range(n)] for i in range(n)]
+        assert echelon(dense, det=False) == (n, None)
+
+
 @pytest.mark.parametrize("bits", [27, 28, 29])
 def test_is_prime_equals_trial_division_below_each_field_width(bits):
     found, q = [], (1 << bits) - 1
@@ -544,7 +573,7 @@ def test_an_elimination_of_more_than_256_primes_equals_bareiss(spans, monkeypatc
     if spans > 1 and not hasattr(os, "fork"):
         pytest.skip("needs os.fork")
     rows, expected = _wide_case()
-    monkeypatch.setattr(matrix, "_fork_spans", lambda most: spans)
+    monkeypatch.setattr("dihedrant.forks._fork_spans", lambda: spans)
     primes = _counted_primes(monkeypatch)
     with deadline(120):
         assert echelon(rows) == expected and expected[0] == matrix.MODULAR_ORDER
