@@ -47,7 +47,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from .forks import _joined
 from .functionals import dihedral_terms, dihedrant, elimination_det, leibniz_det, symmetric_terms
-from .matrix import ExactMatrix, echelon, signed_product_sum
+from .matrix import ExactMatrix, integer_det, signed_product_sum
 from .matrix_io import matrix_to_json
 from .perm import (
     DihedralElement,
@@ -81,7 +81,11 @@ class SearchConfig:
     mode: SearchMode = SearchMode.RANDOM
 
     def __post_init__(self) -> None:
-        lo, hi = self.entry_range
+        try:
+            lo, hi = self.entry_range
+        except (TypeError, ValueError):  # not iterable, or not two values
+            raise ValueError(f"entry_range must be a pair of ints, got {self.entry_range!r}") from None
+        object.__setattr__(self, "entry_range", (lo, hi))  # an iterator is read once, a list is unhashable
         for name, value in (("n", self.n), ("entry_range[0]", lo), ("entry_range[1]", hi),
                             ("sample_count", self.sample_count), ("seed", self.seed)):
             if type(value) is not int:  # bools too; a float would fail inside the search
@@ -630,7 +634,7 @@ def _matrix_hits(samples: Iterable[IntRows], n: int, require_nonzero: bool) -> l
     hits = []
     for rows in samples:
         dih = signed_product_sum(rows, terms)
-        if (dih or not require_nonzero) and dih == echelon(rows)[1]:
+        if (dih or not require_nonzero) and dih == integer_det(rows):
             hits.append(rows)
     return hits
 

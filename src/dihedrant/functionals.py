@@ -9,8 +9,10 @@
   Kept deliberately naive; it is the independent oracle the tests trust.
   It still sums all n! products; each sign is the parity of the
   permutation's inversions, read off its place in lexicographic order.
-* ``elimination_det``: fraction-free (Bareiss) elimination, the scalable
-  reference for orders beyond the oracle cap.
+* ``elimination_det``: the exact determinant that scales past the oracle
+  cap: fraction-free (Bareiss) elimination below ``matrix.MODULAR_ORDER``,
+  and from it on a determinant lifted modulo powers of one prime and
+  certified in integers (:mod:`dihedrant.lifting`).
 
 ``dihedrant`` and ``elimination_det`` run on the integer rows each matrix
 clears once and keeps, through the package's one signed-product loop and
@@ -29,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from .matrix import ExactMatrix, echelon, signed_product_sum
+from .matrix import ExactMatrix, integer_det, signed_product_sum
 from .perm import dihedral_group, sig, symmetric_group
 
 
@@ -72,6 +74,6 @@ def leibniz_det(A: ExactMatrix) -> Fraction:
 
 
 def elimination_det(A: ExactMatrix) -> Fraction:
-    """Determinant by fraction-free elimination; agrees with leibniz_det."""
+    """Determinant by ``matrix.integer_det`` on the cleared rows; agrees with leibniz_det."""
     ints, scales = A._cleared()
-    return Fraction(echelon(ints)[1], scales)
+    return Fraction(integer_det(ints), scales)

@@ -13,9 +13,12 @@ exact, and a silently binary-rounded entry would poison all of them.
 The module also holds the package's one exact-integer layer, which every
 functional, scheme and search runs on: ``ExactMatrix._cleared`` turns a
 matrix's rows into integer rows once, ``signed_product_sum`` is the one
-loop over signed permutation products, and ``echelon`` is the one
-elimination, serving both rank and determinant: fraction-free below order
-``MODULAR_ORDER``, and from it on modulo primes shared out by :func:`dihedrant.forks._joined`.
+loop over signed permutation products, and ``integer_det`` and
+``integer_rank`` each certify what they return.  Below order
+``MODULAR_ORDER`` both run the fraction-free (Bareiss) loop.  From it on the
+rank runs modulo primes shared out by :func:`dihedrant.forks._joined`, and
+the determinant is lifted from one prime by :mod:`dihedrant.lifting`.  Both
+run on the one packed elimination modulo a prime, ``_eliminated_mod``.
 """
 
 from __future__ import annotations
@@ -175,7 +178,7 @@ class ExactMatrix:
 
     def rank(self) -> int:
         """Exact rank over the rationals (row scaling does not change it)."""
-        return echelon(self._cleared()[0], det=False)[0]
+        return integer_rank(self._cleared()[0])
 
     def _cleared(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """Each row scaled by the lcm of its denominators, and the product of the scales.
@@ -205,58 +208,74 @@ class ExactMatrix:
 # the exact-integer layer
 
 
-# Least order that runs the modular path.  Best of 15 on 2 CPUs (Python 3.11), ms for Bareiss / modular on
-# 1 span / on 2, at n = 32, 40, 48, 64: entries in [-9, 9] 4.3/5.3/4.3, 5.5/6.4/6.5, 10.7/10.0/8.6 and
-# 29.5/24.8/17.0; entries p/q with |p|, q <= 9, cleared, 4.8/7.9/10.2, 11.2/15.3/16.3, 23.0/26.2/25.7
-# and 111.8/109.3/64.0.
+# Least order that runs the modular paths.  Bareiss against them, ms, best of 15 on one pinned CPU (Python
+# 3.11), at n = 32, 40, 48 and 64.  A full-rank det: entries in [-9, 9] 3.2/4.5, 10.0/4.3, 17.0/10.1 and
+# 32.2/15.5; cleared p/q, |p|, q <= 9, 4.7/4.0, 12.6/7.1, 27.1/11.5 and 81.8/19.9.  The rank of rank n/2:
+# ints 1.6/1.8, 5.6/4.5, 10.0/9.1 and 19.9/14.4; p/q 2.6/4.4, 8.7/13.8, 11.5/15.4 and 43.3/51.1.  A
+# singular det or a full rank takes 0.3-3 ms.  On two CPUs no crossing came earlier.  One threshold for both.
 MODULAR_ORDER = 48
 
 
-def echelon(m: Sequence[Sequence[int]], det: bool = True) -> tuple[int, int | None]:
-    """Rank and determinant of a square integer matrix; the determinant is 0 below full rank.
+def integer_det(m: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix, which is only read.
 
-    ``m`` is only read.  Below order ``MODULAR_ORDER`` the fraction-free (Bareiss) loop
-    ``_eliminated`` runs on a copy.  From that order on, Gaussian elimination runs modulo
-    word-size primes (``_eliminated_mod``), shared out by the one fork-join
-    :func:`dihedrant.forks._joined`, and the Chinese remainder theorem joins them.  With H
-    the product of the row norms (Hadamard's bound on the determinant), the determinant is the
-    balanced residue once the primes' product exceeds 2H; the rank is the largest rank mod p,
-    r, once the product exceeds the product of the r + 1 largest row norms, which bounds every
-    minor of order r + 1.  One more prime must then agree: no larger rank and, if the
-    determinant is sought, the same determinant modulo it, else ``ArithmeticError``.  With
-    ``det`` false only the rank is sought: on this path a full rank modulo any prime ends the
-    work, and the determinant is None.
+    Below order ``MODULAR_ORDER`` the fraction-free (Bareiss) loop ``_eliminated`` runs on a
+    copy.  From that order on :func:`dihedrant.lifting.determinant`, imported on first use,
+    certifies it by exact solving modulo powers of one prime.
+    """
+    if len(m) < MODULAR_ORDER:
+        return _eliminated([list(row) for row in m])[1]
+    from . import lifting
+
+    return lifting.determinant(m)
+
+
+def integer_rank(m: Sequence[Sequence[int]]) -> int:
+    """Rank of a square integer matrix, which is only read.
+
+    Below order ``MODULAR_ORDER`` the Bareiss loop ``_eliminated`` runs on a copy.  From that
+    order on, Gaussian elimination runs modulo word-size primes (``_eliminated_mod``), shared
+    out by the one fork-join :func:`dihedrant.forks._joined`.  The rank is the largest rank
+    mod p, r: n at once, else once the primes' product exceeds the product of the r + 1 largest
+    row norms, which bounds every minor of order r + 1 (Hadamard).  Below n one more prime must
+    then show no larger rank, else ``ArithmeticError``.
     """
     n = len(m)
     if n < MODULAR_ORDER:
-        return _eliminated([list(row) for row in m])
+        return _eliminated([list(row) for row in m])[0]
     squares = sorted((sum(e * e for e in row) for row in m), reverse=True)  # the squared row norms
     bounds = [*itertools.accumulate(squares, int.__mul__, initial=1)]  # bounds[k]: of the k largest
 
-    def certified(product: int, rank: int) -> bool:  # the rank, and the determinant if sought
-        return (rank == n or product**2 > bounds[rank + 1]) and (not det or rank < n or product**2 > 4 * bounds[n])
+    def certified(product: int, rank: int) -> bool:
+        return rank == n or product**2 > bounds[rank + 1]
 
-    bits = (64 - n.bit_length()) // 2  # so that p + n * p * p < 2**64 for every p < 2**bits
-    used, product, residue, rank, checked = 0, 1, 0, 0, False
-    while not used or not (certified(product, rank) and (checked or (rank == n and not det))):
+    bits = _field_bits(n)
+    used, product, rank, checked = 0, 1, 0, False
+    while not used or not (certified(product, rank) and (checked or rank == n)):
         batch, planned = [], product
         while used and not certified(planned, rank):  # enough primes to certify the rank seen so far
             batch.append(_prime(bits, used + len(batch)))
             planned *= batch[-1]
         batch.append(_prime(bits, used + len(batch)))  # the first prime, or one more to check
         used += len(batch)
-        residues = _joined(lambda primes: [_eliminated_mod(m, p) for p in primes], batch)
-        for p, (rank_p, det_p) in zip(batch, residues):
+        ranks = _joined(lambda primes: [_eliminated_mod(m, p)[0] for p in primes], batch)
+        for p, rank_p in zip(batch, ranks):
             if not certified(product, rank):
-                residue += product * ((det_p - residue) * pow(product, -1, p) % p)
                 product *= p
-                residue -= product if 2 * residue > product else 0  # kept balanced
                 rank = max(rank, rank_p)
-            elif rank_p > rank or (det and det_p != residue % p):
-                raise ArithmeticError("a check prime disagrees with the multi-modular rank and determinant")
+            elif rank_p > rank:
+                raise ArithmeticError("a check prime disagrees with the multi-modular rank")
             else:
                 checked = True
-    return rank, residue if det else None
+    return rank
+
+
+def _field_bits(n: int) -> int:
+    """The width of the primes at order n: p + n * (p - 1)**2 < 2**64 for every prime p < 2**bits.
+
+    That sum bounds a field of the packed kernel and of the lifting's products modulo p.
+    """
+    return (64 - n.bit_length()) // 2
 
 
 def _eliminated(m: list[list[int]]) -> tuple[int, int]:
@@ -291,33 +310,70 @@ def _eliminated(m: list[list[int]]) -> tuple[int, int]:
     return (n, sign * prev) if rank == n else (rank, 0)
 
 
-def _eliminated_mod(m: Sequence[Sequence[int]], p: int) -> tuple[int, int]:
-    """Rank and determinant of ``m`` modulo the prime p, which needs p + len(m) * p * p < 2**64.
+def _eliminated_mod(
+    m: Sequence[Sequence[int]], p: int, inverse: bool = False
+) -> tuple[int, int, list[int], list[int]]:
+    """Rank, determinant, kept rows and pivot rows of ``m`` modulo a prime p < 2**_field_bits(len(m)).
 
     Each row is one int of 64-bit fields, field 0 the current column.  Each step shifts field 0
-    out of every live row and adds (p - v) times the pivot row, reduced and scaled to lead with 1,
-    where v is the row's field 0 mod p; so a field gains less than p * p a step, and only the
-    pivot row is ever reduced.
+    out of every row and adds (p - v) times the pivot row, reduced and scaled to lead with 1,
+    where v is the row's field 0 mod p; so a field gains at most (p - 1)**2 a step, and only the
+    pivot row is ever reduced.  The pivot rows are the indices in ``m`` of the rows that pivot.
+
+    Without ``inverse`` the pivot row is dropped, and no row is kept.  With it this is
+    Gauss-Jordan on m | I: row j carries a 1 in field n + j, and each pivot row is kept and
+    updated at every later step, as the live rows are.  It stops at the first column t without
+    a pivot, where row t of m's transpose depends mod p on the t before it.  The kept rows are
+    the pivot rows' last n fields, reduced; at full rank the k-th is row k of the inverse of m.
     """
-    order = sys.byteorder
-    rows = m if order == "little" else [row[::-1] for row in m]  # so that field 0 is the low word
-    live = [int.from_bytes(array("Q", [e % p for e in row]), order) for row in rows]
     n = len(m)
-    rank, det = 0, 1
+    rows = [_packed([e % p for e in row]) for row in m]
+    if inverse:
+        rows = [x | 1 << 64 * (n + j) for j, x in enumerate(rows)]
+    order = list(range(n))  # the index in m of each live row
+    width = 2 * n if inverse else n
+    rank, det, pivots = 0, 1, []
     for col in range(n):
-        heads = [(x & 0xFFFF_FFFF_FFFF_FFFF) % p for x in live]
-        k = next((k for k, v in enumerate(heads) if v), None)
+        heads = [(x & 0xFFFF_FFFF_FFFF_FFFF) % p for x in rows]
+        kept = rank if inverse else 0  # the live rows follow the kept ones
+        k = next((k for k in range(len(order)) if heads[kept + k]), None)
         if k is None:
-            live = [x >> 64 for x in live]
+            if inverse:
+                break
+            rows = [x >> 64 for x in rows]
             continue
-        top, lead = live.pop(k) >> 64, heads.pop(k)
+        top, lead = rows.pop(kept + k) >> 64, heads.pop(kept + k)
+        pivots.append(order.pop(k))
         det = (-det if k & 1 else det) * lead % p  # the pivot row moved up past k rows
         scale = pow(lead, -1, p)
-        fields = memoryview(top.to_bytes(8 * (n - col - 1), order)).cast("Q")
-        top = int.from_bytes(array("Q", [f * scale % p for f in fields]), order)
-        live = [(x >> 64) + (p - v) * top if v else x >> 64 for x, v in zip(live, heads)]
+        top = _packed([f * scale % p for f in _unpacked(top, width - col - 1)])
+        rows = [(x >> 64) + (p - v) * top if v else x >> 64 for x, v in zip(rows, heads)]
+        if inverse:
+            rows.insert(rank, top)
         rank += 1
-    return (rank, det) if rank == n else (rank, 0)
+    kept = [_packed([f % p for f in _unpacked(x >> 64 * (n - rank), n)]) for x in rows[:rank]] if inverse else []
+    return rank, det if rank == n else 0, kept, pivots
+
+
+def _packed(fields: Iterable[int], words: int = 1) -> int:
+    """Non-negative values below 2**(64 * words) as one int, the first in the lowest field."""
+    if words > 1:
+        return int.from_bytes(b"".join(f.to_bytes(8 * words, "little") for f in fields), "little")
+    packed = array("Q", fields)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    return int.from_bytes(packed, "little")
+
+
+def _unpacked(x: int, count: int, words: int = 1) -> Sequence[int]:
+    """The ``count`` fields of ``words`` 64-bit words each of a packed int, the lowest first."""
+    raw = x.to_bytes(8 * words * count, "little")
+    if words > 1:
+        return [int.from_bytes(raw[i : i + 8 * words], "little") for i in range(0, len(raw), 8 * words)]
+    fields = array("Q", raw)
+    if sys.byteorder == "big":
+        fields.byteswap()
+    return fields
 
 
 _PRIMES: dict[int, list[int]] = {}  # per field width: the primes below 2**bits found so far, largest first

@@ -47,7 +47,7 @@ from dihedrant.analysis import (
     TWOS_ONES_MATRIX,
 )
 from dihedrant.functionals import dihedrant, leibniz_det
-from dihedrant.matrix import ExactMatrix, echelon
+from dihedrant.matrix import ExactMatrix, integer_det
 from dihedrant.matrix_io import matrix_to_json
 from dihedrant.perm import ResourceLimitError, reflection_perm, rotation_perm, sgn
 
@@ -473,9 +473,9 @@ def test_exhaustive_search_is_the_plain_enumerator_on_drawn_spaces(space, requir
 
 def test_exhaustive_search_runs_no_elimination(monkeypatch, forks):
     def refuse(m):
-        raise AssertionError("the exhaustive search called echelon")
+        raise AssertionError("the exhaustive search called integer_det")
 
-    monkeypatch.setattr(analysis, "echelon", refuse)
+    monkeypatch.setattr(analysis, "integer_det", refuse)
     config = SearchConfig(n=4, entry_range=(1, 2), mode=SearchMode.EXHAUSTIVE)
     assert len(search_dih_equals_det(config, require_nonzero=True)) == 3136
     assert forks == []  # so the refusal was in force where the search ran
@@ -507,7 +507,7 @@ def test_two_row_coefficients_match_elimination(n):
         assert len(D) == len(E) == n and all(len(row) == n for row in D + E)
         d, e = times(D, x), times(E, x)
         assert d == [dihedrant(ExactMatrix(prefix + (unit,))) for unit in units]
-        minors = [echelon([[*row[:j], *row[j + 1 :]] for row in prefix])[1] for j in range(n)]
+        minors = [integer_det([[*row[:j], *row[j + 1 :]] for row in prefix]) for j in range(n)]
         c = [dj - ej for dj, ej in zip(d, e)]
         assert c == [(-1) ** (n - 1 + j) * minor for j, minor in enumerate(minors)]
         if prefix in deficient:
@@ -572,14 +572,15 @@ def _forked_claims() -> list:
     return run_claims(claim_ids(), seed=5, trials=5)
 
 
-def _forked_elimination() -> tuple[int, int]:
+def _forked_elimination() -> int:
     n = matrix.MODULAR_ORDER
-    return echelon([[(i * i + 3 * j) % 19 - 9 + (i == j) * i for j in range(n)] for i in range(n)])
+    return integer_det([[(i * i + 3 * j) % 19 - 9 + (i == j) * i for j in range(n)] for i in range(n)])
 
 
 # every caller of the fork-join, each large enough to fork, with a function that each of its spans calls:
-# the search and the claims draw their samples through analysis._draws, and every prime span of an
-# elimination runs each of its primes through matrix._eliminated_mod
+# the search and the claims draw their samples through analysis._draws, and every prime span of a
+# determinant runs each of its primes through matrix._eliminated_mod (this one lifts modulo one prime
+# and then shares out three)
 forked_callers = pytest.mark.parametrize(
     "forked, hook",
     [(_forked_search, (analysis, "_draws")), (_forked_claims, (analysis, "_draws")),
@@ -604,12 +605,12 @@ def test_an_exception_in_a_forked_span_reaches_the_caller(forked, hook, monkeypa
     original = getattr(*hook)
     paused = []
 
-    def fails_in_a_child(*args):
+    def fails_in_a_child(*args, **kwargs):
         if os.getpid() != parent:
             raise OverflowError("a forked span failed")
         if len(paused) < 2:  # so every child pulls a chunk before this process can empty the queue; two,
             paused.append(time.sleep(0.2))  # as an elimination's first prime runs here before any fork
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(*hook, fails_in_a_child)
     with deadline(60), pytest.raises(OverflowError, match="a forked span failed") as raised:
@@ -625,10 +626,10 @@ def test_an_interrupted_search_kills_and_reaps_its_children(forked, hook, monkey
     parent = os.getpid()
     original = getattr(*hook)
 
-    def interrupted(*args):
+    def interrupted(*args, **kwargs):
         if os.getpid() == parent:
             if not forks:  # an elimination's first prime runs in this process before any span forks
-                return original(*args)
+                return original(*args, **kwargs)
             raise KeyboardInterrupt
         time.sleep(20)  # a child the caller waits for, rather than kills, holds it this long
         raise OverflowError("a forked span outlived the interrupt")
@@ -650,12 +651,12 @@ import test_analysis
 module, name, forked = sys.modules[sys.argv[1]], sys.argv[2], getattr(test_analysis, sys.argv[3])
 original, parent, paused = getattr(module, name), os.getpid(), []
 
-def fails_in_a_child(*args):
+def fails_in_a_child(*args, **kwargs):
     if os.getpid() != parent:
         raise OverflowError("a forked span failed")
     if len(paused) < 2:  # so every child fails before this process reads from or writes to a pipe; two,
         paused.append(time.sleep(0.2))  # as an elimination's first prime runs here before any fork
-    return original(*args)
+    return original(*args, **kwargs)
 
 setattr(module, name, fails_in_a_child)
 forked()
@@ -704,6 +705,9 @@ def test_search_config_validation():
     ({"sample_count": 20_000.0}, "sample_count must be an int, got 20000.0"),
     ({"seed": 1.5}, "seed must be an int, got 1.5"),
     ({"mode": "exhaustively"}, "'exhaustively' is not a valid SearchMode"),
+    ({"entry_range": 5}, "entry_range must be a pair of ints, got 5"),
+    ({"entry_range": None}, "entry_range must be a pair of ints, got None"),
+    ({"entry_range": (1, 2, 3)}, r"entry_range must be a pair of ints, got \(1, 2, 3\)"),
 ])
 def test_search_config_rejects_a_bad_field_before_any_work_or_fork(fields, message, monkeypatch, forks):
     worked = []
@@ -712,6 +716,13 @@ def test_search_config_rejects_a_bad_field_before_any_work_or_fork(fields, messa
     with pytest.raises(ValueError, match=message):  # 20,000 samples of order 4 would fork
         search_dih_equals_det(SearchConfig(**{"n": 4, "sample_count": 20_000, **fields}))
     assert worked == [] and forks == []
+
+
+def test_search_config_keeps_its_entry_range_as_a_pair():
+    for given in ([0, 1], iter((0, 1)), range(2)):
+        config = SearchConfig(n=2, entry_range=given, mode="exhaustive")
+        assert config.entry_range == (0, 1) and hash(config) == hash(SearchConfig(n=2, entry_range=(0, 1), mode="exhaustive"))
+        assert len(search_dih_equals_det(config)) == 10
 
 
 def test_search_config_reads_a_mode_by_its_value():

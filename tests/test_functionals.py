@@ -180,8 +180,8 @@ def test_leibniz_det_never_reaches_the_kernel_it_checks(monkeypatch):
     def refuse(*args):
         raise AssertionError("leibniz_det reached the clearing step or the elimination kernel")
 
-    monkeypatch.setattr(matrix, "echelon", refuse)
-    monkeypatch.setattr(functionals, "echelon", refuse)
+    monkeypatch.setattr(matrix, "integer_det", refuse)
+    monkeypatch.setattr(functionals, "integer_det", refuse)
     monkeypatch.setattr(ExactMatrix, "_cleared", refuse)
     with pytest.raises(AssertionError):  # the patches bite
         elimination_det(cases[-1])

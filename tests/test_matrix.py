@@ -3,18 +3,23 @@
 import functools
 import math
 import os
+import subprocess
+import sys
+import time
 from array import array
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 
-from dihedrant import matrix
+from dihedrant import lifting, matrix
 from dihedrant.matrix import (
     ExactMatrix,
     MatrixFormatError,
-    echelon,
+    integer_det,
+    integer_rank,
     parse_scalar,
     signed_product_sum,
 )
@@ -97,8 +102,8 @@ def test_scalar_strings_go_through_parse_scalar():
     assert ExactMatrix([[q]])._grid[0][0] is q
 
 
-def test_echelon_of_the_empty_matrix():
-    assert echelon([]) == (0, 1)
+def test_the_empty_matrix_has_rank_0_and_determinant_1():
+    assert integer_rank([]) == 0 and integer_det([]) == 1
 
 
 def test_constructor_requires_square():
@@ -190,7 +195,7 @@ def test_the_cleared_rows_are_kept_and_never_mutated():
     assert A.rank() == 3
     assert A._cleared() is cleared
     assert cleared == (((0, 1, 2), (6, 1, 3), (4, 1, 2)), 6)
-    assert echelon(cleared[0]) == (3, 4)  # echelon only reads its rows: the cache stays as it was
+    assert (integer_rank(cleared[0]), integer_det(cleared[0])) == (3, 4)  # both only read the rows
     assert A._cleared() is cleared and cleared == (((0, 1, 2), (6, 1, 3), (4, 1, 2)), 6)
 
 
@@ -367,7 +372,8 @@ def test_rank_invariances():
 
 
 # ---------------------------------------------------------------------------
-# the elimination's two paths: Bareiss below MODULAR_ORDER, modulo primes from it on
+# the elimination's paths: Bareiss below MODULAR_ORDER; from it on, the rank modulo primes and the
+# determinant by lifting
 
 def test_a_remainder_raises_in_the_bareiss_loop(monkeypatch):
     def broken_divmod(a, b):  # a quotient whose remainder is never 0
@@ -375,7 +381,11 @@ def test_a_remainder_raises_in_the_bareiss_loop(monkeypatch):
 
     monkeypatch.setattr(matrix, "divmod", broken_divmod, raising=False)
     with pytest.raises(ArithmeticError, match="produced a non-integer quotient"):
-        echelon([[2, 1, 3, 1], [1, 4, 1, 2], [5, 2, 6, 1], [1, 1, 1, 3]])
+        integer_det([[2, 1, 3, 1], [1, 4, 1, 2], [5, 2, 6, 1], [1, 1, 1, 3]])
+
+
+def _rank_and_det(rows) -> tuple[int, int]:
+    return integer_rank(rows), integer_det(rows)
 
 
 @functools.lru_cache(maxsize=None)
@@ -403,7 +413,7 @@ def _modular_cases(n: int) -> dict[str, tuple[tuple[tuple[int, ...], ...], tuple
 
 
 def test_the_modular_cases_match_the_oracles():
-    for n in (matrix.MODULAR_ORDER - 1, matrix.MODULAR_ORDER):
+    for n in (matrix.MODULAR_ORDER - 1, matrix.MODULAR_ORDER, 64):
         for name, (rows, (rank, det)) in _modular_cases(n).items():
             assert (rank, det) == (gauss_rank(rows), gauss_det(rows)), (n, name)
             assert rank == {"rank n-1": n - 1, "rank n/2": n // 2, "zero column": n - 1, "all zero": 0}.get(name, n)
@@ -415,14 +425,18 @@ def test_the_modular_path_equals_bareiss(spans, monkeypatch, forks):
         pytest.skip("needs os.fork")
     monkeypatch.setattr("dihedrant.forks._fork_spans", lambda: spans)
     with deadline(120):
-        for n in (matrix.MODULAR_ORDER - 1, matrix.MODULAR_ORDER):
-            for name, (rows, expected) in _modular_cases(n).items():
+        for n in (matrix.MODULAR_ORDER - 1, matrix.MODULAR_ORDER, 64):
+            for name, (rows, (rank, det)) in _modular_cases(n).items():
+                modular = n >= matrix.MODULAR_ORDER
                 forks.clear()
-                assert echelon(rows) == expected, (n, name)
-                # the all-zero matrix is certified one prime at a time, and a one-prime batch runs in the caller
-                assert bool(forks) == (spans > 1 and n == matrix.MODULAR_ORDER and name != "all zero"), (n, name)
-                ranked = echelon(rows, det=False)
-                assert ranked == (expected[0], expected[1] if n < matrix.MODULAR_ORDER else None), (n, name)
+                assert integer_det(rows) == det, (n, name)
+                # a singular determinant is certified by one dependency; a full-rank one shares out the
+                # primes that its quotient needs and the check prime
+                assert bool(forks) == (spans > 1 and modular and rank == n), (n, name)
+                forks.clear()
+                assert integer_rank(rows) == rank, (n, name)
+                # a full rank needs one prime, and the all-zero matrix is certified one prime at a time
+                assert bool(forks) == (spans > 1 and modular and 0 < rank < n), (n, name)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -432,9 +446,9 @@ def _counted_primes(monkeypatch) -> list[int]:
     primes = []
     eliminated_mod = matrix._eliminated_mod
 
-    def counted(m, p):
+    def counted(m, p, *args, **kwargs):
         primes.append(p)
-        return eliminated_mod(m, p)
+        return eliminated_mod(m, p, *args, **kwargs)
 
     monkeypatch.setattr(matrix, "_eliminated_mod", counted)
     return primes
@@ -446,17 +460,101 @@ def test_the_rank_of_a_full_rank_matrix_needs_one_prime(monkeypatch):
     monkeypatch.setattr("dihedrant.forks._fork_spans", lambda: 1)
     primes = _counted_primes(monkeypatch)
     assert A.rank() == 128 and len(primes) == 1
-    assert elimination_det(A) == matrix._eliminated(rows)[1] and len(primes) > 20  # Hadamard: about 760 bits
+    primes.clear()
+    # Hadamard's bound has about 760 bits, 28 primes' worth; lifting leaves a quotient of a few primes
+    assert elimination_det(A) == matrix._eliminated(rows)[1] and len(primes) <= 6
 
 
 def test_a_full_rank_that_the_first_prime_misses_needs_no_determinant(monkeypatch):
     # the primes after the first certify the full rank; their determinants are not checked against a bound
     n = matrix.MODULAR_ORDER
     rows = random_int_rows(Random(41), n, -9, 9)
-    rows[0] = [matrix._prime((64 - n.bit_length()) // 2, 0) * e for e in rows[0]]  # zero modulo the first prime
+    rows[0] = [matrix._prime(matrix._field_bits(n), 0) * e for e in rows[0]]  # zero modulo the first prime
     monkeypatch.setattr("dihedrant.forks._fork_spans", lambda: 1)
     primes = _counted_primes(monkeypatch)
     assert ExactMatrix(rows).rank() == n and len(primes) > 2
+
+
+def _recorded(monkeypatch, module, name: str) -> list:
+    """The results of module.name from here on, in this process."""
+    results = []
+    original = getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(module, name, recorded)
+    return results
+
+
+@pytest.mark.parametrize("row", [0, 10])
+def test_a_full_rank_that_the_first_prime_misses_falls_back(row, monkeypatch):
+    # row 0 is zero modulo the first prime, or row 10 is rows 3 + 5 modulo it: a dependency that
+    # fails over the rationals, so the rank is certified and the next prime lifts the determinant
+    n = matrix.MODULAR_ORDER
+    first = matrix._prime(matrix._field_bits(n), 0)
+    rows = random_int_rows(Random(43 + row), n, -9, 9)
+    if row == 0:
+        rows[0] = [first * e for e in rows[0]]
+    else:
+        rows[10] = [a + b for a, b in zip(rows[3], rows[5])]
+        rows[10][7] += first
+    expected = matrix._eliminated([r[:] for r in rows])
+    assert expected[0] == n and expected[1] % first == 0
+    dependent = _recorded(monkeypatch, lifting, "_dependent")
+    ranks = _recorded(monkeypatch, matrix, "integer_rank")
+    assert integer_det(rows) == expected[1]
+    assert dependent == [False] and ranks == [n]
+
+
+def test_a_singular_matrix_needs_one_prime_and_no_rank(monkeypatch):
+    rows, (rank, det) = _modular_cases(64)["rank n-1"]
+    primes = _counted_primes(monkeypatch)
+    dependent = _recorded(monkeypatch, lifting, "_dependent")
+    ranks = _recorded(monkeypatch, matrix, "integer_rank")
+    assert integer_det(rows) == det == 0 and rank == 63
+    assert len(primes) == 1 and dependent == [True] and ranks == []
+
+
+@pytest.mark.parametrize("name", ["full rank", "rank n-1", "rank n/2", "all zero"])
+def test_a_wrong_reconstruction_never_gives_a_wrong_determinant(name, monkeypatch):
+    rows, (rank, det) = _modular_cases(matrix.MODULAR_ORDER)[name]
+    reconstructed = lifting._reconstructed
+
+    def wrong_denominator(*args):
+        numerators, d = reconstructed(*args)
+        return numerators, d + 1
+
+    monkeypatch.setattr(lifting, "_reconstructed", wrong_denominator)
+    if rank == matrix.MODULAR_ORDER:  # the solution is unique, so a failed check is broken arithmetic
+        with pytest.raises(ArithmeticError, match="does not solve"):
+            integer_det(rows)
+    else:  # a failed dependency falls back to the certified rank
+        assert integer_det(rows) == det == 0
+
+
+def test_the_reconstruction_shares_one_denominator():
+    modulus = matrix._prime(28, 0) ** 4
+    x = [Fraction(3, 7), Fraction(-5, 7), Fraction(2, 21), Fraction(4), Fraction(-1, 3)]
+    residues = [q.numerator * pow(q.denominator, -1, modulus) % modulus for q in x]
+    assert lifting._reconstructed(residues, modulus, 100) == ([9, -15, 2, 84, -7], 21)
+
+
+@pytest.mark.parametrize("name", ["full rank", "rank n/2", "rational", "2,000 bits"])
+def test_gauss_jordan_modulo_a_prime_inverts_the_pivot_block(name):
+    rows, (rank, det) = _modular_cases(matrix.MODULAR_ORDER)[name]
+    n = len(rows)
+    p = matrix._prime(matrix._field_bits(n), 0)
+    t, det_p, kept, pivots = matrix._eliminated_mod(rows, p, inverse=True)
+    # the first t columns are independent modulo p, so over the rationals too
+    assert len(kept) == len(pivots) == t <= rank and det_p == (det % p if t == n else 0)
+    block = [[rows[c][k] for k in range(t)] for c in pivots]  # the pivot rows on the first t columns
+    inverse = [matrix._unpacked(x, n) for x in kept]
+    for k in range(t):
+        assert all(f == 0 for j, f in enumerate(inverse[k]) if j not in pivots)
+        for i in range(t):
+            assert sum(inverse[k][c] * block[u][i] for u, c in enumerate(pivots)) % p == (k == i)
 
 
 @pytest.mark.parametrize("where", ["caller", "child"])
@@ -465,18 +563,21 @@ def test_a_wrong_residue_fails_the_check_prime(where, monkeypatch, forks):
         pytest.skip("needs os.fork")
     monkeypatch.setattr("dihedrant.forks._fork_spans", lambda: 1 if where == "caller" else 2)
     caller = os.getpid()
-    rows, expected = _modular_cases(matrix.MODULAR_ORDER)["full rank"]
-    first = matrix._prime((64 - matrix.MODULAR_ORDER.bit_length()) // 2, 0)  # always run in this process
+    rows, (_, det) = _modular_cases(matrix.MODULAR_ORDER)["full rank"]
+    first = matrix._prime(matrix._field_bits(matrix.MODULAR_ORDER), 0)  # lifted, always in this process
     eliminated_mod = matrix._eliminated_mod
+    paused = []
 
-    def off_by_one(m, p):
-        rank, det = eliminated_mod(m, p)
+    def off_by_one(m, p, *args, **kwargs):
+        if where == "child" and os.getpid() == caller and p != first and not paused:
+            paused.append(time.sleep(0.2))  # so the child pulls a chunk before this process empties the queue
+        rank, det_p, kept, pivots = eliminated_mod(m, p, *args, **kwargs)
         wrong = p == first if where == "caller" else os.getpid() != caller
-        return rank, (det + wrong) % p
+        return rank, (det_p + wrong) % p, kept, pivots
 
     monkeypatch.setattr(matrix, "_eliminated_mod", off_by_one)
     with deadline(60), pytest.raises(ArithmeticError, match="a check prime disagrees"):
-        echelon(rows)
+        integer_det(rows)
     assert bool(forks) == (where == "child")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -484,28 +585,32 @@ def test_a_wrong_residue_fails_the_check_prime(where, monkeypatch, forks):
 
 @pytest.mark.parametrize("det", [True, False])
 def test_a_rank_above_the_certified_rank_fails_the_check_prime(det, monkeypatch):
+    # the determinant reaches the rank's check prime only by its fallback, here forced by a
+    # reconstruction that breaks the dependency
     rows, (rank, _) = _modular_cases(matrix.MODULAR_ORDER)["rank n/2"]
     monkeypatch.setattr("dihedrant.forks._fork_spans", lambda: 1)
+    if det:
+        monkeypatch.setattr(lifting, "_reconstructed", lambda residues, modulus, bound: ([0] * len(residues), 1))
     primes = _counted_primes(monkeypatch)
-    assert echelon(rows, det=det)[0] == rank == matrix.MODULAR_ORDER // 2
+    assert (integer_det(rows) == 0 if det else True) and integer_rank(rows) == rank == matrix.MODULAR_ORDER // 2
     check = primes[-1]  # the last prime run is the one that checks
     counted = matrix._eliminated_mod
 
-    def one_too_many(m, p):
-        rank_p, det_p = counted(m, p)
-        return rank_p + (p == check), det_p
+    def one_too_many(m, p, *args, **kwargs):
+        rank_p, *rest = counted(m, p, *args, **kwargs)
+        return rank_p + (p == check and not args and not kwargs), *rest
 
     monkeypatch.setattr(matrix, "_eliminated_mod", one_too_many)
     with pytest.raises(ArithmeticError, match="a check prime disagrees"):
-        echelon(rows, det=det)
+        integer_det(rows) if det else integer_rank(rows)
 
 
 @pytest.mark.parametrize("n", [63, 64])
 def test_the_packed_kernel_equals_bareiss_at_its_field_edges(n):
-    # 63 is the largest order with 29-bit fields, where p + n * p * p < 2**64 is tightest; 64 the first with 28
-    bits = (64 - n.bit_length()) // 2
+    # 63 is the largest order with 29-bit fields, where p + n * (p - 1)**2 < 2**64 is tightest; 64 the first with 28
+    bits = matrix._field_bits(n)
     first = matrix._prime(bits, 0)
-    assert bits == {63: 29, 64: 28}[n] and first + n * first * first < 2**64
+    assert bits == {63: 29, 64: 28}[n] and first + n * (first - 1) ** 2 < 2**64
     rng = Random(n)
     cases = {"full rank": random_int_rows(rng, n, -9, 9),
              "rank n/2": ExactMatrix(low_rank_rows(rng, n, n // 2))._cleared()[0]}
@@ -515,37 +620,35 @@ def test_the_packed_kernel_equals_bareiss_at_its_field_edges(n):
     for name, rows in cases.items():
         expected = matrix._eliminated(list(map(list, rows)))
         assert expected[0] == (n // 2 if name == "rank n/2" else n), name
-        assert echelon(rows) == expected, name
-        assert echelon(rows, det=False)[0] == expected[0], name
+        assert _rank_and_det(rows) == expected, name
 
 
 @pytest.mark.parametrize("n", [255, 256])
 def test_the_packed_kernel_at_its_next_field_edge(n):
     # 255 is the largest order with 28-bit fields and 256 the first with 27; too large for the Bareiss
     # oracle, so every rank and determinant here is known by construction
-    bits = (64 - n.bit_length()) // 2
+    bits = matrix._field_bits(n)
     first = matrix._prime(bits, 0)
-    assert bits == {255: 28, 256: 27}[n] and first + n * first * first < 2**64
+    assert bits == {255: 28, 256: 27}[n] and first + n * (first - 1) ** 2 < 2**64
     rng = Random(n)
     # a unit upper triangle with sparse entries of +-1 above the diagonal, its rows permuted: det sgn(order)
     upper = [[int(i == j) or (rng.choice((-1, 1)) if j > i and rng.random() < 3 / n else 0) for j in range(n)]
              for i in range(n)]
     order = rng.sample(range(n), n)
     permuted = [upper[i] for i in order]
-    assert echelon(permuted) == (n, sgn(Permutation([i + 1 for i in order])))
-    assert echelon(permuted, det=False) == (n, None)
+    assert _rank_and_det(permuted) == (n, sgn(Permutation([i + 1 for i in order])))
     # three rows that lead with a unit lower triangle, and integer combinations of them: rank 3
     base = [[*lead, *(rng.randint(-9, 9) for _ in range(n - 3))] for lead in ([1, 0, 0], [2, 1, 0], [5, -3, 1])]
     weights = [[rng.randint(-3, 3) for _ in base] for _ in range(n - 3)]
     rank3 = base + [[sum(w * e for w, e in zip(row, column)) for column in zip(*base)] for row in weights]
     rng.shuffle(rank3)
-    assert echelon(rank3) == (3, 0) and echelon(rank3, det=False) == (3, None)
+    assert _rank_and_det(rank3) == (3, 0)
     if n == 255:  # entries of -1 modulo the first prime, the largest residue a field starts at
         upper = [[1 if i == j else first * rng.randint(-2, 2) - 1 if j > i else 0 for j in range(n)] for i in range(n)]
-        assert echelon(upper, det=False) == (n, None)
+        assert integer_rank(upper) == n
         # off the diagonal too: 2I - J modulo the first prime, whose determinant 2**254 * -253 it does not divide
         dense = [[1 if i == j else first * rng.randint(-2, 2) - 1 for j in range(n)] for i in range(n)]
-        assert echelon(dense, det=False) == (n, None)
+        assert integer_rank(dense) == n
 
 
 @pytest.mark.parametrize("bits", [27, 28, 29])
@@ -559,24 +662,62 @@ def test_is_prime_equals_trial_division_below_each_field_width(bits):
     assert [matrix._prime(bits, k) for k in range(60)] == found
 
 
+def test_the_field_width_holds_at_every_order_to_1024():
+    for n in range(matrix.MODULAR_ORDER, 1025):
+        p = matrix._prime(matrix._field_bits(n), 0)  # the largest prime of its width
+        assert p + n * (p - 1) ** 2 < 2**64, n
+
+
+def test_every_prime_at_order_65_fits_the_fields(monkeypatch):
+    # from 65 on a field one bit wider overflows: 65 * (2**29 - 4)**2 > 2**64
+    n = 65
+    rng = Random(65)
+    full = random_int_rows(rng, n, -9, 9)
+    singular = [*full[:-1], [a - 2 * b for a, b in zip(full[3], full[7])]]
+    monkeypatch.setattr("dihedrant.forks._fork_spans", lambda: 1)
+    primes = _counted_primes(monkeypatch)  # every prime of the kernel, forward and Gauss-Jordan
+    solved = lifting._solved  # and every prime of a lifting's products
+    monkeypatch.setattr(lifting, "_solved", lambda columns, inverse, b, p: primes.append(p) or solved(columns, inverse, b, p))
+    for rows in (full, singular):
+        assert _rank_and_det(rows) == matrix._eliminated([r[:] for r in rows])
+    assert len(primes) > 6 and all(p + n * (p - 1) ** 2 < 2**64 for p in primes)
+
+
+@pytest.mark.parametrize("n", [64, 80])
+def test_large_determinants_equal_bareiss_and_the_determinant_of_the_transpose(n):
+    rng = Random(n + 7)
+    rows = random_int_rows(rng, n, -30, 30)
+    assert integer_det(rows) == integer_det([*zip(*rows)]) == matrix._eliminated([r[:] for r in rows])[1]
+
+
+def test_the_search_and_the_functionals_leave_the_lifting_unloaded():
+    code = ("import sys, dihedrant, dihedrant.cli; from dihedrant import ExactMatrix; "
+            "ExactMatrix.identity(47).rank(); dihedrant.elimination_det(ExactMatrix.identity(47)); "
+            "sys.exit('dihedrant.lifting' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(matrix.__file__).parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
 @functools.lru_cache(maxsize=None)
 def _wide_case() -> tuple[tuple[tuple[int, ...], ...], tuple[int, int]]:
-    """Rows of order MODULAR_ORDER with entries of about 170 bits, and their rank and determinant by Bareiss."""
+    """Rows of order MODULAR_ORDER with entries of about 170 bits and rank n - 1, and their rank and
+    determinant by Bareiss."""
     rng = Random(170)
     n = matrix.MODULAR_ORDER
-    rows = tuple(tuple(rng.getrandbits(170) - (1 << 169) for _ in range(n)) for _ in range(n))
-    return rows, matrix._eliminated(list(map(list, rows)))
+    rows = [[rng.getrandbits(170) - (1 << 169) for _ in range(n)] for _ in range(n)]
+    rows[9] = [a - 3 * b for a, b in zip(rows[2], rows[30])]
+    return tuple(map(tuple, rows)), matrix._eliminated(list(map(list, rows)))
 
 
 @pytest.mark.parametrize("spans", [1, 2])
 def test_an_elimination_of_more_than_256_primes_equals_bareiss(spans, monkeypatch, forks):
     if spans > 1 and not hasattr(os, "fork"):
         pytest.skip("needs os.fork")
-    rows, expected = _wide_case()
+    rows, (rank, det) = _wide_case()
     monkeypatch.setattr("dihedrant.forks._fork_spans", lambda: spans)
     primes = _counted_primes(monkeypatch)
     with deadline(120):
-        assert echelon(rows) == expected and expected[0] == matrix.MODULAR_ORDER
+        assert _rank_and_det(rows) == (rank, det) == (matrix.MODULAR_ORDER - 1, 0)
     assert bool(forks) == (spans > 1)
     assert len(primes) > 256 or spans > 1  # a batch of more primes than the queue has positions
     with pytest.raises(ChildProcessError):
