@@ -32,11 +32,12 @@ MAX_TABLE_ORDER = 256
 
 
 def main(argv: list[str] | None = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):  # exact values may run past 4,300 digits
+    """Run one command; the two process-wide limits it lifts are restored when it returns or raises."""
+    args = _build_parser().parse_args(argv)
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if digits is not None:  # exact values may run past 4,300 digits
         sys.set_int_max_str_digits(0)
-    csv.field_size_limit(2**31 - 1)  # and CSV cells past 131,072 characters, as JSON entries may
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    cells = csv.field_size_limit(2**31 - 1)  # and CSV cells past 131,072 characters, as JSON entries may
     try:
         return args.handler(args)
     except ResourceLimitError as exc:
@@ -45,6 +46,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        csv.field_size_limit(cells)
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -9,7 +9,9 @@ which a forked child would not have, or with a cap below two, every item runs in
 process; there is no flag.  The spans pull the chunks from one queue, so a span on a busy
 CPU takes fewer of them.  A child only writes its outcome to a pipe that the caller reads;
 the caller writes to no child.  A tracer cannot see into the children, so it loses the
-chunks that run there.
+chunks that run there.  It has three callers: ``verify``'s claims, the random search's
+samples, and the one planner of the primes of a large rank or determinant,
+``dihedrant.modular._residues``.
 """
 
 from __future__ import annotations

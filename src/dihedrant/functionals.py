@@ -12,7 +12,7 @@
 * ``elimination_det``: the exact determinant that scales past the oracle
   cap: fraction-free (Bareiss) elimination below ``matrix.MODULAR_ORDER``,
   and from it on a determinant lifted modulo powers of one prime and
-  certified in integers (:mod:`dihedrant.lifting`).
+  certified in integers (:mod:`dihedrant.modular`).
 
 ``dihedrant`` and ``elimination_det`` run on the integer rows each matrix
 clears once and keeps, through the package's one signed-product loop and

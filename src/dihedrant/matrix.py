@@ -15,24 +15,20 @@ functional, scheme and search runs on: ``ExactMatrix._cleared`` turns a
 matrix's rows into integer rows once, ``signed_product_sum`` is the one
 loop over signed permutation products, and ``integer_det`` and
 ``integer_rank`` each certify what they return.  Below order
-``MODULAR_ORDER`` both run the fraction-free (Bareiss) loop.  From it on the
-rank runs modulo primes shared out by :func:`dihedrant.forks._joined`, and
-the determinant is lifted from one prime by :mod:`dihedrant.lifting`.  Both
-run on the one packed elimination modulo a prime, ``_eliminated_mod``.
+``MODULAR_ORDER`` both run the fraction-free (Bareiss) loop.  From it on they
+call :mod:`dihedrant.modular`, imported on first use, which owns everything
+that runs modulo primes: the packed kernel, the primes and the one planner
+that shares them out.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 import reprlib
-import sys
-from array import array
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .forks import _joined
 from .perm import Permutation
 
 
@@ -217,65 +213,21 @@ MODULAR_ORDER = 48
 
 
 def integer_det(m: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix, which is only read.
-
-    Below order ``MODULAR_ORDER`` the fraction-free (Bareiss) loop ``_eliminated`` runs on a
-    copy.  From that order on :func:`dihedrant.lifting.determinant`, imported on first use,
-    certifies it by exact solving modulo powers of one prime.
-    """
+    """Determinant of a square integer matrix, which is only read: Bareiss on a copy, or ``modular``'s."""
     if len(m) < MODULAR_ORDER:
         return _eliminated([list(row) for row in m])[1]
-    from . import lifting
+    from . import modular
 
-    return lifting.determinant(m)
+    return modular.determinant(m)
 
 
 def integer_rank(m: Sequence[Sequence[int]]) -> int:
-    """Rank of a square integer matrix, which is only read.
-
-    Below order ``MODULAR_ORDER`` the Bareiss loop ``_eliminated`` runs on a copy.  From that
-    order on, Gaussian elimination runs modulo word-size primes (``_eliminated_mod``), shared
-    out by the one fork-join :func:`dihedrant.forks._joined`.  The rank is the largest rank
-    mod p, r: n at once, else once the primes' product exceeds the product of the r + 1 largest
-    row norms, which bounds every minor of order r + 1 (Hadamard).  Below n one more prime must
-    then show no larger rank, else ``ArithmeticError``.
-    """
-    n = len(m)
-    if n < MODULAR_ORDER:
+    """Rank of a square integer matrix, which is only read: Bareiss on a copy, or ``modular``'s."""
+    if len(m) < MODULAR_ORDER:
         return _eliminated([list(row) for row in m])[0]
-    squares = sorted((sum(e * e for e in row) for row in m), reverse=True)  # the squared row norms
-    bounds = [*itertools.accumulate(squares, int.__mul__, initial=1)]  # bounds[k]: of the k largest
+    from . import modular
 
-    def certified(product: int, rank: int) -> bool:
-        return rank == n or product**2 > bounds[rank + 1]
-
-    bits = _field_bits(n)
-    used, product, rank, checked = 0, 1, 0, False
-    while not used or not (certified(product, rank) and (checked or rank == n)):
-        batch, planned = [], product
-        while used and not certified(planned, rank):  # enough primes to certify the rank seen so far
-            batch.append(_prime(bits, used + len(batch)))
-            planned *= batch[-1]
-        batch.append(_prime(bits, used + len(batch)))  # the first prime, or one more to check
-        used += len(batch)
-        ranks = _joined(lambda primes: [_eliminated_mod(m, p)[0] for p in primes], batch)
-        for p, rank_p in zip(batch, ranks):
-            if not certified(product, rank):
-                product *= p
-                rank = max(rank, rank_p)
-            elif rank_p > rank:
-                raise ArithmeticError("a check prime disagrees with the multi-modular rank")
-            else:
-                checked = True
-    return rank
-
-
-def _field_bits(n: int) -> int:
-    """The width of the primes at order n: p + n * (p - 1)**2 < 2**64 for every prime p < 2**bits.
-
-    That sum bounds a field of the packed kernel and of the lifting's products modulo p.
-    """
-    return (64 - n.bit_length()) // 2
+    return modular.rank(m)
 
 
 def _eliminated(m: list[list[int]]) -> tuple[int, int]:
@@ -308,93 +260,6 @@ def _eliminated(m: list[list[int]]) -> tuple[int, int]:
         prev = lead
         rank += 1
     return (n, sign * prev) if rank == n else (rank, 0)
-
-
-def _eliminated_mod(
-    m: Sequence[Sequence[int]], p: int, inverse: bool = False
-) -> tuple[int, int, list[int], list[int]]:
-    """Rank, determinant, kept rows and pivot rows of ``m`` modulo a prime p < 2**_field_bits(len(m)).
-
-    Each row is one int of 64-bit fields, field 0 the current column.  Each step shifts field 0
-    out of every row and adds (p - v) times the pivot row, reduced and scaled to lead with 1,
-    where v is the row's field 0 mod p; so a field gains at most (p - 1)**2 a step, and only the
-    pivot row is ever reduced.  The pivot rows are the indices in ``m`` of the rows that pivot.
-
-    Without ``inverse`` the pivot row is dropped, and no row is kept.  With it this is
-    Gauss-Jordan on m | I: row j carries a 1 in field n + j, and each pivot row is kept and
-    updated at every later step, as the live rows are.  It stops at the first column t without
-    a pivot, where row t of m's transpose depends mod p on the t before it.  The kept rows are
-    the pivot rows' last n fields, reduced; at full rank the k-th is row k of the inverse of m.
-    """
-    n = len(m)
-    rows = [_packed([e % p for e in row]) for row in m]
-    if inverse:
-        rows = [x | 1 << 64 * (n + j) for j, x in enumerate(rows)]
-    order = list(range(n))  # the index in m of each live row
-    width = 2 * n if inverse else n
-    rank, det, pivots = 0, 1, []
-    for col in range(n):
-        heads = [(x & 0xFFFF_FFFF_FFFF_FFFF) % p for x in rows]
-        kept = rank if inverse else 0  # the live rows follow the kept ones
-        k = next((k for k in range(len(order)) if heads[kept + k]), None)
-        if k is None:
-            if inverse:
-                break
-            rows = [x >> 64 for x in rows]
-            continue
-        top, lead = rows.pop(kept + k) >> 64, heads.pop(kept + k)
-        pivots.append(order.pop(k))
-        det = (-det if k & 1 else det) * lead % p  # the pivot row moved up past k rows
-        scale = pow(lead, -1, p)
-        top = _packed([f * scale % p for f in _unpacked(top, width - col - 1)])
-        rows = [(x >> 64) + (p - v) * top if v else x >> 64 for x, v in zip(rows, heads)]
-        if inverse:
-            rows.insert(rank, top)
-        rank += 1
-    kept = [_packed([f % p for f in _unpacked(x >> 64 * (n - rank), n)]) for x in rows[:rank]] if inverse else []
-    return rank, det if rank == n else 0, kept, pivots
-
-
-def _packed(fields: Iterable[int], words: int = 1) -> int:
-    """Non-negative values below 2**(64 * words) as one int, the first in the lowest field."""
-    if words > 1:
-        return int.from_bytes(b"".join(f.to_bytes(8 * words, "little") for f in fields), "little")
-    packed = array("Q", fields)
-    if sys.byteorder == "big":
-        packed.byteswap()
-    return int.from_bytes(packed, "little")
-
-
-def _unpacked(x: int, count: int, words: int = 1) -> Sequence[int]:
-    """The ``count`` fields of ``words`` 64-bit words each of a packed int, the lowest first."""
-    raw = x.to_bytes(8 * words * count, "little")
-    if words > 1:
-        return [int.from_bytes(raw[i : i + 8 * words], "little") for i in range(0, len(raw), 8 * words)]
-    fields = array("Q", raw)
-    if sys.byteorder == "big":
-        fields.byteswap()
-    return fields
-
-
-_PRIMES: dict[int, list[int]] = {}  # per field width: the primes below 2**bits found so far, largest first
-
-
-def _prime(bits: int, k: int) -> int:
-    """The k-th largest prime below 2**bits, counting from 0."""
-    primes = _PRIMES.setdefault(bits, [])
-    candidate = primes[-1] - 2 if primes else (1 << bits) - 1
-    while len(primes) <= k:
-        if _is_prime(candidate):
-            primes.append(candidate)
-        candidate -= 2
-    return primes[k]
-
-
-def _is_prime(q: int) -> bool:
-    """Miller-Rabin with bases 2, 7 and 61, which is exact for odd q from 63 to 4,759,123,140."""
-    s = ((q - 1) & (1 - q)).bit_length() - 1  # q - 1 = d * 2**s with d odd
-    d = (q - 1) >> s
-    return all(pow(a, d, q) == 1 or any(pow(a, d << r, q) == q - 1 for r in range(s)) for a in (2, 7, 61))
 
 
 def signed_product_sum(rows: Sequence[Sequence], terms: Iterable[tuple[Sequence[int], int]]):

@@ -15,7 +15,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dihedrant import analysis, matrix
+from dihedrant import analysis, matrix, modular
 from dihedrant.analysis import (
     CLAIMS,
     SearchConfig,
@@ -579,12 +579,12 @@ def _forked_elimination() -> int:
 
 # every caller of the fork-join, each large enough to fork, with a function that each of its spans calls:
 # the search and the claims draw their samples through analysis._draws, and every prime span of a
-# determinant runs each of its primes through matrix._eliminated_mod (this one lifts modulo one prime
+# determinant runs each of its primes through modular._eliminated_mod (this one lifts modulo one prime
 # and then shares out three)
 forked_callers = pytest.mark.parametrize(
     "forked, hook",
     [(_forked_search, (analysis, "_draws")), (_forked_claims, (analysis, "_draws")),
-     (_forked_elimination, (matrix, "_eliminated_mod"))],
+     (_forked_elimination, (modular, "_eliminated_mod"))],
     ids=["search", "claims", "elimination"],
 )
 

@@ -159,6 +159,17 @@ def test_eval_reads_csv_cells_past_the_field_limit(capsys, tmp_path, int_digit_l
     assert out == digits + "\n"
 
 
+def test_main_restores_the_limits_it_lifts(capsys, tmp_path, int_digit_limit, csv_field_limit):
+    # main lifts both for its own run only, so a library caller keeps the guard against quadratic int parsing
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text("1,2\n3,4\n")
+    bad.write_text("1,2\n3\n")
+    for path, expected in ((good, 0), (bad, 2)):
+        code, _, _ = run(capsys, "eval", str(path), "det-elim")
+        assert code == expected
+        assert sys.get_int_max_str_digits() == 4300 and csv.field_size_limit() == 131_072
+
+
 @pytest.mark.parametrize("name", ["long.json", "junk.csv"])
 def test_eval_error_quotes_long_values_briefly(capsys, tmp_path, name):
     # one entry of 200,000 numbers (a 1.49 MB document), or one 100,000-character cell

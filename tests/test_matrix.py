@@ -14,7 +14,7 @@ from random import Random
 
 import pytest
 
-from dihedrant import lifting, matrix
+from dihedrant import matrix, modular
 from dihedrant.matrix import (
     ExactMatrix,
     MatrixFormatError,
@@ -427,30 +427,30 @@ def test_the_modular_path_equals_bareiss(spans, monkeypatch, forks):
     with deadline(120):
         for n in (matrix.MODULAR_ORDER - 1, matrix.MODULAR_ORDER, 64):
             for name, (rows, (rank, det)) in _modular_cases(n).items():
-                modular = n >= matrix.MODULAR_ORDER
+                large = n >= matrix.MODULAR_ORDER
                 forks.clear()
                 assert integer_det(rows) == det, (n, name)
                 # a singular determinant is certified by one dependency; a full-rank one shares out the
                 # primes that its quotient needs and the check prime
-                assert bool(forks) == (spans > 1 and modular and rank == n), (n, name)
+                assert bool(forks) == (spans > 1 and large and rank == n), (n, name)
                 forks.clear()
                 assert integer_rank(rows) == rank, (n, name)
                 # a full rank needs one prime, and the all-zero matrix is certified one prime at a time
-                assert bool(forks) == (spans > 1 and modular and 0 < rank < n), (n, name)
+                assert bool(forks) == (spans > 1 and large and 0 < rank < n), (n, name)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 def _counted_primes(monkeypatch) -> list[int]:
-    """The primes that matrix._eliminated_mod runs in this process from here on."""
+    """The primes that modular._eliminated_mod runs in this process from here on."""
     primes = []
-    eliminated_mod = matrix._eliminated_mod
+    eliminated_mod = modular._eliminated_mod
 
     def counted(m, p, *args, **kwargs):
         primes.append(p)
         return eliminated_mod(m, p, *args, **kwargs)
 
-    monkeypatch.setattr(matrix, "_eliminated_mod", counted)
+    monkeypatch.setattr(modular, "_eliminated_mod", counted)
     return primes
 
 
@@ -465,11 +465,21 @@ def test_the_rank_of_a_full_rank_matrix_needs_one_prime(monkeypatch):
     assert elimination_det(A) == matrix._eliminated(rows)[1] and len(primes) <= 6
 
 
+def test_the_rank_of_a_half_rank_matrix_runs_the_planned_primes(monkeypatch):
+    # the first prime alone, then the fewest that certify rank 32 against the 33 largest row norms,
+    # and one to check: the first 8 primes of 28 bits, in order
+    rows, (rank, _) = _modular_cases(64)["rank n/2"]
+    monkeypatch.setattr("dihedrant.forks._fork_spans", lambda: 1)
+    primes = _counted_primes(monkeypatch)
+    assert ExactMatrix(rows).rank() == rank == 32
+    assert primes == [modular._prime(28, k) for k in range(8)]
+
+
 def test_a_full_rank_that_the_first_prime_misses_needs_no_determinant(monkeypatch):
     # the primes after the first certify the full rank; their determinants are not checked against a bound
     n = matrix.MODULAR_ORDER
     rows = random_int_rows(Random(41), n, -9, 9)
-    rows[0] = [matrix._prime(matrix._field_bits(n), 0) * e for e in rows[0]]  # zero modulo the first prime
+    rows[0] = [modular._prime(modular._field_bits(n), 0) * e for e in rows[0]]  # zero modulo the first prime
     monkeypatch.setattr("dihedrant.forks._fork_spans", lambda: 1)
     primes = _counted_primes(monkeypatch)
     assert ExactMatrix(rows).rank() == n and len(primes) > 2
@@ -493,7 +503,7 @@ def test_a_full_rank_that_the_first_prime_misses_falls_back(row, monkeypatch):
     # row 0 is zero modulo the first prime, or row 10 is rows 3 + 5 modulo it: a dependency that
     # fails over the rationals, so the rank is certified and the next prime lifts the determinant
     n = matrix.MODULAR_ORDER
-    first = matrix._prime(matrix._field_bits(n), 0)
+    first = modular._prime(modular._field_bits(n), 0)
     rows = random_int_rows(Random(43 + row), n, -9, 9)
     if row == 0:
         rows[0] = [first * e for e in rows[0]]
@@ -502,8 +512,8 @@ def test_a_full_rank_that_the_first_prime_misses_falls_back(row, monkeypatch):
         rows[10][7] += first
     expected = matrix._eliminated([r[:] for r in rows])
     assert expected[0] == n and expected[1] % first == 0
-    dependent = _recorded(monkeypatch, lifting, "_dependent")
-    ranks = _recorded(monkeypatch, matrix, "integer_rank")
+    dependent = _recorded(monkeypatch, modular, "_dependent")
+    ranks = _recorded(monkeypatch, modular, "rank")
     assert integer_det(rows) == expected[1]
     assert dependent == [False] and ranks == [n]
 
@@ -511,8 +521,8 @@ def test_a_full_rank_that_the_first_prime_misses_falls_back(row, monkeypatch):
 def test_a_singular_matrix_needs_one_prime_and_no_rank(monkeypatch):
     rows, (rank, det) = _modular_cases(64)["rank n-1"]
     primes = _counted_primes(monkeypatch)
-    dependent = _recorded(monkeypatch, lifting, "_dependent")
-    ranks = _recorded(monkeypatch, matrix, "integer_rank")
+    dependent = _recorded(monkeypatch, modular, "_dependent")
+    ranks = _recorded(monkeypatch, modular, "rank")
     assert integer_det(rows) == det == 0 and rank == 63
     assert len(primes) == 1 and dependent == [True] and ranks == []
 
@@ -520,13 +530,13 @@ def test_a_singular_matrix_needs_one_prime_and_no_rank(monkeypatch):
 @pytest.mark.parametrize("name", ["full rank", "rank n-1", "rank n/2", "all zero"])
 def test_a_wrong_reconstruction_never_gives_a_wrong_determinant(name, monkeypatch):
     rows, (rank, det) = _modular_cases(matrix.MODULAR_ORDER)[name]
-    reconstructed = lifting._reconstructed
+    reconstructed = modular._reconstructed
 
     def wrong_denominator(*args):
         numerators, d = reconstructed(*args)
         return numerators, d + 1
 
-    monkeypatch.setattr(lifting, "_reconstructed", wrong_denominator)
+    monkeypatch.setattr(modular, "_reconstructed", wrong_denominator)
     if rank == matrix.MODULAR_ORDER:  # the solution is unique, so a failed check is broken arithmetic
         with pytest.raises(ArithmeticError, match="does not solve"):
             integer_det(rows)
@@ -535,22 +545,22 @@ def test_a_wrong_reconstruction_never_gives_a_wrong_determinant(name, monkeypatc
 
 
 def test_the_reconstruction_shares_one_denominator():
-    modulus = matrix._prime(28, 0) ** 4
+    modulus = modular._prime(28, 0) ** 4
     x = [Fraction(3, 7), Fraction(-5, 7), Fraction(2, 21), Fraction(4), Fraction(-1, 3)]
     residues = [q.numerator * pow(q.denominator, -1, modulus) % modulus for q in x]
-    assert lifting._reconstructed(residues, modulus, 100) == ([9, -15, 2, 84, -7], 21)
+    assert modular._reconstructed(residues, modulus, 100) == ([9, -15, 2, 84, -7], 21)
 
 
 @pytest.mark.parametrize("name", ["full rank", "rank n/2", "rational", "2,000 bits"])
 def test_gauss_jordan_modulo_a_prime_inverts_the_pivot_block(name):
     rows, (rank, det) = _modular_cases(matrix.MODULAR_ORDER)[name]
     n = len(rows)
-    p = matrix._prime(matrix._field_bits(n), 0)
-    t, det_p, kept, pivots = matrix._eliminated_mod(rows, p, inverse=True)
+    p = modular._prime(modular._field_bits(n), 0)
+    t, det_p, kept, pivots = modular._eliminated_mod(rows, p, inverse=True)
     # the first t columns are independent modulo p, so over the rationals too
     assert len(kept) == len(pivots) == t <= rank and det_p == (det % p if t == n else 0)
     block = [[rows[c][k] for k in range(t)] for c in pivots]  # the pivot rows on the first t columns
-    inverse = [matrix._unpacked(x, n) for x in kept]
+    inverse = [modular._unpacked(x, n) for x in kept]
     for k in range(t):
         assert all(f == 0 for j, f in enumerate(inverse[k]) if j not in pivots)
         for i in range(t):
@@ -564,8 +574,8 @@ def test_a_wrong_residue_fails_the_check_prime(where, monkeypatch, forks):
     monkeypatch.setattr("dihedrant.forks._fork_spans", lambda: 1 if where == "caller" else 2)
     caller = os.getpid()
     rows, (_, det) = _modular_cases(matrix.MODULAR_ORDER)["full rank"]
-    first = matrix._prime(matrix._field_bits(matrix.MODULAR_ORDER), 0)  # lifted, always in this process
-    eliminated_mod = matrix._eliminated_mod
+    first = modular._prime(modular._field_bits(matrix.MODULAR_ORDER), 0)  # lifted, always in this process
+    eliminated_mod = modular._eliminated_mod
     paused = []
 
     def off_by_one(m, p, *args, **kwargs):
@@ -575,7 +585,7 @@ def test_a_wrong_residue_fails_the_check_prime(where, monkeypatch, forks):
         wrong = p == first if where == "caller" else os.getpid() != caller
         return rank, (det_p + wrong) % p, kept, pivots
 
-    monkeypatch.setattr(matrix, "_eliminated_mod", off_by_one)
+    monkeypatch.setattr(modular, "_eliminated_mod", off_by_one)
     with deadline(60), pytest.raises(ArithmeticError, match="a check prime disagrees"):
         integer_det(rows)
     assert bool(forks) == (where == "child")
@@ -590,17 +600,17 @@ def test_a_rank_above_the_certified_rank_fails_the_check_prime(det, monkeypatch)
     rows, (rank, _) = _modular_cases(matrix.MODULAR_ORDER)["rank n/2"]
     monkeypatch.setattr("dihedrant.forks._fork_spans", lambda: 1)
     if det:
-        monkeypatch.setattr(lifting, "_reconstructed", lambda residues, modulus, bound: ([0] * len(residues), 1))
+        monkeypatch.setattr(modular, "_reconstructed", lambda residues, modulus, bound: ([0] * len(residues), 1))
     primes = _counted_primes(monkeypatch)
     assert (integer_det(rows) == 0 if det else True) and integer_rank(rows) == rank == matrix.MODULAR_ORDER // 2
     check = primes[-1]  # the last prime run is the one that checks
-    counted = matrix._eliminated_mod
+    counted = modular._eliminated_mod
 
     def one_too_many(m, p, *args, **kwargs):
         rank_p, *rest = counted(m, p, *args, **kwargs)
         return rank_p + (p == check and not args and not kwargs), *rest
 
-    monkeypatch.setattr(matrix, "_eliminated_mod", one_too_many)
+    monkeypatch.setattr(modular, "_eliminated_mod", one_too_many)
     with pytest.raises(ArithmeticError, match="a check prime disagrees"):
         integer_det(rows) if det else integer_rank(rows)
 
@@ -608,8 +618,8 @@ def test_a_rank_above_the_certified_rank_fails_the_check_prime(det, monkeypatch)
 @pytest.mark.parametrize("n", [63, 64])
 def test_the_packed_kernel_equals_bareiss_at_its_field_edges(n):
     # 63 is the largest order with 29-bit fields, where p + n * (p - 1)**2 < 2**64 is tightest; 64 the first with 28
-    bits = matrix._field_bits(n)
-    first = matrix._prime(bits, 0)
+    bits = modular._field_bits(n)
+    first = modular._prime(bits, 0)
     assert bits == {63: 29, 64: 28}[n] and first + n * (first - 1) ** 2 < 2**64
     rng = Random(n)
     cases = {"full rank": random_int_rows(rng, n, -9, 9),
@@ -627,8 +637,8 @@ def test_the_packed_kernel_equals_bareiss_at_its_field_edges(n):
 def test_the_packed_kernel_at_its_next_field_edge(n):
     # 255 is the largest order with 28-bit fields and 256 the first with 27; too large for the Bareiss
     # oracle, so every rank and determinant here is known by construction
-    bits = matrix._field_bits(n)
-    first = matrix._prime(bits, 0)
+    bits = modular._field_bits(n)
+    first = modular._prime(bits, 0)
     assert bits == {255: 28, 256: 27}[n] and first + n * (first - 1) ** 2 < 2**64
     rng = Random(n)
     # a unit upper triangle with sparse entries of +-1 above the diagonal, its rows permuted: det sgn(order)
@@ -656,15 +666,15 @@ def test_is_prime_equals_trial_division_below_each_field_width(bits):
     found, q = [], (1 << bits) - 1
     while len(found) < 60:  # every odd value from 2**bits - 1 down to the 60th largest prime below it
         prime = all(q % d for d in range(3, math.isqrt(q) + 1, 2))
-        assert matrix._is_prime(q) == prime, q
+        assert modular._is_prime(q) == prime, q
         found += [q] * prime
         q -= 2
-    assert [matrix._prime(bits, k) for k in range(60)] == found
+    assert [modular._prime(bits, k) for k in range(60)] == found
 
 
 def test_the_field_width_holds_at_every_order_to_1024():
     for n in range(matrix.MODULAR_ORDER, 1025):
-        p = matrix._prime(matrix._field_bits(n), 0)  # the largest prime of its width
+        p = modular._prime(modular._field_bits(n), 0)  # the largest prime of its width
         assert p + n * (p - 1) ** 2 < 2**64, n
 
 
@@ -676,8 +686,9 @@ def test_every_prime_at_order_65_fits_the_fields(monkeypatch):
     singular = [*full[:-1], [a - 2 * b for a, b in zip(full[3], full[7])]]
     monkeypatch.setattr("dihedrant.forks._fork_spans", lambda: 1)
     primes = _counted_primes(monkeypatch)  # every prime of the kernel, forward and Gauss-Jordan
-    solved = lifting._solved  # and every prime of a lifting's products
-    monkeypatch.setattr(lifting, "_solved", lambda columns, inverse, b, p: primes.append(p) or solved(columns, inverse, b, p))
+    solved = modular._solved  # and every prime of a lifting's products
+    monkeypatch.setattr(modular, "_solved",
+                        lambda columns, inverse, b, p, square: primes.append(p) or solved(columns, inverse, b, p, square))
     for rows in (full, singular):
         assert _rank_and_det(rows) == matrix._eliminated([r[:] for r in rows])
     assert len(primes) > 6 and all(p + n * (p - 1) ** 2 < 2**64 for p in primes)
@@ -693,7 +704,7 @@ def test_large_determinants_equal_bareiss_and_the_determinant_of_the_transpose(n
 def test_the_search_and_the_functionals_leave_the_lifting_unloaded():
     code = ("import sys, dihedrant, dihedrant.cli; from dihedrant import ExactMatrix; "
             "ExactMatrix.identity(47).rank(); dihedrant.elimination_det(ExactMatrix.identity(47)); "
-            "sys.exit('dihedrant.lifting' in sys.modules)")
+            "sys.exit('dihedrant.modular' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": str(Path(matrix.__file__).parents[1])}
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
