@@ -10,7 +10,7 @@ process; there is no flag.  The spans pull the chunks from one queue, so a span 
 CPU takes fewer of them.  A child only writes its outcome to a pipe that the caller reads;
 the caller writes to no child.  A tracer cannot see into the children, so it loses the
 chunks that run there.  It has three callers: ``verify``'s claims, the random search's
-samples, and the one planner of the primes of a large rank or determinant,
+samples, and the one planner of the primes of a large determinant's quotient,
 ``dihedrant.modular._residues``.
 """
 

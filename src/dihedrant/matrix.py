@@ -206,9 +206,9 @@ class ExactMatrix:
 
 # Least order that runs the modular paths.  Bareiss against them, ms, best of 15 on one pinned CPU (Python
 # 3.11), at n = 32, 40, 48 and 64.  A full-rank det: entries in [-9, 9] 3.2/4.5, 10.0/4.3, 17.0/10.1 and
-# 32.2/15.5; cleared p/q, |p|, q <= 9, 4.7/4.0, 12.6/7.1, 27.1/11.5 and 81.8/19.9.  The rank of rank n/2:
-# ints 1.6/1.8, 5.6/4.5, 10.0/9.1 and 19.9/14.4; p/q 2.6/4.4, 8.7/13.8, 11.5/15.4 and 43.3/51.1.  A
-# singular det or a full rank takes 0.3-3 ms.  On two CPUs no crossing came earlier.  One threshold for both.
+# 32.2/15.5; cleared p/q, |p|, q <= 9, 4.7/4.0, 12.6/7.1, 27.1/11.5 and 81.8/19.9.  The rank of rank n/2,
+# one prime and lifted row dependencies: ints 1.9/2.2, 4.5/2.1, 5.9/4.3 and 21.0/7.0; p/q 2.0/1.3, 4.3/1.9,
+# 12.8/4.4 and 24.3/4.7.  A singular det or a full rank takes 0.3-3 ms.  One threshold for both.
 MODULAR_ORDER = 48
 
 

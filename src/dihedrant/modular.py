@@ -1,20 +1,22 @@
 """Everything that runs modulo word-size primes: exact ranks and determinants of large integer matrices.
 
 ``matrix.integer_rank`` and ``matrix.integer_det`` call ``rank`` and ``determinant`` from order
-``matrix.MODULAR_ORDER`` on.  Both run on one packed elimination modulo a prime, ``_eliminated_mod``,
-and one planner, ``_residues``, picks their primes and shares them out through the one fork-join
-:func:`dihedrant.forks._joined`: the fewest that take a product past a Hadamard bound, and one more
-to check.
+``matrix.MODULAR_ORDER`` on.  Both start from one packed elimination modulo a prime p,
+``_eliminated_mod``, and certify what it finds by identities checked in integers.
 
-* ``rank`` is the largest rank r modulo any prime: n at once, else once the primes' product passes
-  the product of the r + 1 largest row norms, which bounds every minor of order r + 1.
-* ``determinant`` runs Gauss-Jordan modulo one prime p on A's transpose beside the identity.  At full
-  rank Dixon's p-adic lifting (*Numer. Math.* 40, 1982) solves A x = b exactly, x = N / d is checked
-  as A N = d b, and the least common denominator s of x divides det A, so the primes find only
-  det A / s (Abbott, Bronstein and Mulders, ISSAC 1999).  Below full rank it stops at the first row t
-  that depends mod p on the rows before it; that dependency, lifted and checked on all n columns,
-  proves det A = 0.  If the check fails, p divided a minor: ``rank`` certifies the rank, and at full
-  rank the next prime starts over.
+* ``rank`` runs one forward elimination modulo p.  Its r pivot rows P and pivot columns Q give a
+  block B = A[P][Q] that is invertible modulo p, so rank A >= r.  Gauss-Jordan inverts B once
+  modulo p (fewer than r pivots there raises), and ``_combined`` lifts every other row against that
+  one inverse: N A[P] = d A[t], checked on all n columns, shows rank A <= r.  A row that is no such
+  combination shows that p divided a minor of order r + 1; the next prime starts over.
+* ``determinant`` runs Gauss-Jordan modulo p on A's transpose beside the identity.  At full rank
+  Dixon's p-adic lifting (*Numer. Math.* 40, 1982) solves A x = b exactly, and the least common
+  denominator s of x divides det A, so the primes find only det A / s (Abbott, Bronstein and
+  Mulders, ISSAC 1999).  ``_residues`` picks them, the fewest that take a product past Hadamard's
+  bound and one more to check, and shares them out through the one fork-join
+  :func:`dihedrant.forks._joined`.  Below full rank it stops at the first row t that depends mod p
+  on the rows before it; that dependency, lifted as the rank's are, proves det A = 0.  If it fails,
+  p divided a minor: ``rank`` certifies the rank, and at full rank the next prime starts over.
 
 Each step of a lifting is two packed products: M^-1 r mod p, whose 64-bit fields stay below
 n (p - 1)**2 < 2**64 by ``_field_bits``, and M y, with M's columns shifted to be non-negative and
@@ -38,25 +40,18 @@ from .forks import _joined
 def rank(m: Sequence[Sequence[int]]) -> int:
     """Rank of a square integer matrix, which is only read."""
     n = len(m)
-    squares = sorted(_squares(m), reverse=True)  # by rows
-    bounds = [*itertools.accumulate(squares, mul, initial=1)]  # bounds[k]: of the k largest
-
-    def certified() -> bool:
-        return r == n or product**2 > bounds[r + 1]
-
-    used, product, r, checked = 0, 1, 0, False
-    while not (used and certified() and (checked or r == n)):
-        residues = _residues(m, used, product, used and bounds[r + 1])  # the first prime runs alone
-        used += len(residues)
-        for q, rank_p, _ in residues:
-            if not certified():
-                product *= q
-                r = max(r, rank_p)
-            elif rank_p > r:
-                raise ArithmeticError("a check prime disagrees with the multi-modular rank")
-            else:
-                checked = True
-    return r
+    for k in itertools.count():
+        p = _prime(_field_bits(n), k)
+        r, _, _, pivots, columns = _eliminated_mod(m, p)
+        if r == n:
+            return n
+        t, _, inverse, _, _ = _eliminated_mod([[m[i][c] for c in columns] for i in pivots], p, inverse=True)
+        if t < r:
+            raise ArithmeticError("Gauss-Jordan finds fewer pivots than the elimination that it inverts")
+        chosen = set(pivots)
+        others = [row for i, row in enumerate(m) if i not in chosen]
+        if _combined([m[i] for i in pivots], columns, inverse, p, others) is not None:
+            return r
 
 
 def determinant(m: Sequence[Sequence[int]]) -> int:
@@ -65,11 +60,16 @@ def determinant(m: Sequence[Sequence[int]]) -> int:
     columns = [*zip(*m)]
     for k in itertools.count():
         p = _prime(_field_bits(n), k)
-        t, det_p, inverse, pivots = _eliminated_mod(columns, p, inverse=True)
+        t, det_p, inverse, pivots, _ = _eliminated_mod(columns, p, inverse=True)
         if t == n:
             return _full_rank(m, columns, p, k + 1, det_p, inverse)
-        if k == 0 and (_dependent(m, columns, t, p, inverse, pivots) or rank(m) < n):
-            return 0  # after the first prime the rank is certified n, so only a prime that shows it serves
+        if k == 0:
+            # with B = m[<t][pivots], field c of kept row k is entry (k, c) of the inverse of B's
+            # transpose mod p, for c in pivots; repacked, these are the rows of B's inverse
+            kept = [_unpacked(x, n) for x in inverse]
+            inverse = [_packed([row[c] for row in kept]) for c in pivots]
+            if _combined(m[:t], pivots, inverse, p, [m[t]]) or rank(m) < n:
+                return 0  # after the first prime the rank is certified n, so only a prime that shows it serves
 
 
 def _full_rank(m, columns, p: int, start: int, det_p: int, inverse: list[int]) -> int:
@@ -77,14 +77,12 @@ def _full_rank(m, columns, p: int, start: int, det_p: int, inverse: list[int]) -
     n = len(m)
     # small and fixed, but not constant: rows of equal sum c solve A x = (1, ..., 1) by x = 1/c
     b = [i * i % 7 - 3 for i in range(n)]
-    square = math.prod(_squares(m, columns))  # D**2
-    x, d = _solved(columns, inverse, b, p, square)
-    if any(sum(map(mul, row, x)) != d * e for row, e in zip(m, b)):
-        raise ArithmeticError("the lifted solution does not solve A x = b")
+    [(x, d)] = _combined(columns, range(n), inverse, p, [b])
     s = d // math.gcd(d, *x)  # the least common denominator of the solution, which divides det m
-    *residues, (check, _, det_check) = [(p, n, det_p), *_residues(m, start, s * p, 4 * square, s)]  # (2H)**2
+    square = math.prod(_squares(m, columns))  # D**2
+    *residues, (check, det_check) = [(p, det_p), *_residues(m, start, s * p, 4 * square, s)]  # (2H)**2
     quotient, product = 0, 1
-    for q, _, det_q in residues:  # q's residue is det m's over s, which q does not divide
+    for q, det_q in residues:  # q's residue is det m's over s, which q does not divide
         quotient += product * ((det_q * pow(s, -1, q) - quotient) * pow(product, -1, q) % q)
         product *= q
     quotient -= product if 2 * quotient > product else 0  # balanced
@@ -93,8 +91,8 @@ def _full_rank(m, columns, p: int, start: int, det_p: int, inverse: list[int]) -
     return s * quotient
 
 
-def _residues(m, start: int, product: int, square: int, skip: int = 1) -> list[tuple[int, int, int]]:
-    """(q, rank, det) of m modulo primes q, shared out through the one fork-join.
+def _residues(m, start: int, product: int, square: int, skip: int) -> list[tuple[int, int]]:
+    """(q, det m mod q) for primes q, shared out through the one fork-join.
 
     The primes are the fewest from the start-th on that do not divide ``skip`` and take
     (product times theirs)**2 past ``square``, and one more, to check.
@@ -106,47 +104,109 @@ def _residues(m, start: int, product: int, square: int, skip: int = 1) -> list[t
         primes.append(next(usable))
         product *= primes[-1]
     primes.append(next(usable))
-    return _joined(lambda batch: [(q, *_eliminated_mod(m, q)[:2]) for q in batch], primes)
+    return _joined(lambda batch: [(q, _eliminated_mod(m, q)[1]) for q in batch], primes)
 
 
-def _dependent(m, columns, t: int, p: int, inverse: list[int], pivots: list[int]) -> bool:
-    """Whether row t of m is exactly a combination of rows 0..t-1, which makes det m = 0.
+def _combined(vectors, pivots: Sequence[int], inverse: list[int], p: int,
+              targets: Sequence[Sequence[int]]) -> list[tuple[list[int], int]] | None:
+    """For each target t, N and d > 0 with N_1 v_1 + ... + N_r v_r = d t, the v the vectors; None
+    if some target is no such combination.
 
-    ``inverse`` and ``pivots`` come from Gauss-Jordan on m's transpose stopped at column t:
-    with B = m[<t][pivots], field c of kept row k is entry (k, c) of the inverse of B's
-    transpose mod p, for c in ``pivots``.
+    M, whose columns are the vectors at the coordinates ``pivots``, is invertible mod p, and
+    ``inverse`` holds the columns of its inverse mod p, packed.  A target is lifted against that
+    one inverse: x = M^-1 t[pivots] is the sum of y p**i, where each step takes y = M^-1 r mod p
+    and then r = (r - M y) / p, which is exact.  By Cramer's rule x = num / det M, and Hadamard's
+    bound, by rows or by columns, bounds |det M| by D and every |num| by U.  A rational
+    reconstruction x = N / d is tried after 1, 2, 4, ... steps and once p**k passes 2 U D, and it
+    stands only if the combination holds exactly at every coordinate, one outside the pivots
+    first.  Past the bound it is the solution itself: if it fails only outside the pivots, that
+    target is no combination; if it fails at the pivots, the arithmetic is broken, which raises.
+
+    The first target is lifted alone.  The others are then lifted as one block, and before the
+    bound each also tries the first one's denominator d: N = d x mod p**k, once it is small.
+    Solutions that share a denominator so need about half the steps.
     """
-    kept = [_unpacked(x, len(m)) for x in inverse]
-    system = [[row[c] for c in pivots] for row in m[:t]]  # the columns of B's transpose
-    weights, d = _solved(system, [_packed([row[c] for row in kept]) for c in pivots],
-                         [m[t][c] for c in pivots], p, math.prod(_squares(system, [*zip(*system)])))
-    return d != 0 and all(sum(map(mul, weights, column)) == d * column[t] for column in columns)
-
-
-def _solved(columns, inverse: list[int], b: Sequence[int], p: int, square: int) -> tuple[list[int], int]:
-    """N and d > 0 with N / d the solution x of M x = b, unless M or its inverse is wrong.
-
-    M is the square integer matrix with these columns, ``inverse`` holds the columns of M's
-    inverse mod p, packed, and ``square`` bounds (det M)**2.  Each step takes y = M^-1 r mod p,
-    then r = (r - M y) / p, which is exact; after k steps x = sum of y p**i mod p**k.  By
-    Cramer's rule x = num / det M, where Hadamard's bound, by rows or by columns, bounds
-    |det M| by D and each |num| (det M with one column b) by U; so x = N / d is reconstructed
-    once p**k passes 2 U D.  N and d are not checked here.
-    """
-    n = len(columns)
-    numerator = math.prod(_squares([b, *columns], [[*row, e] for row, e in zip(zip(*columns), b)]))  # U**2
-    lows = [min(0, *column) for column in columns]
-    shifted = [[e - low for e in column] for column, low in zip(columns, lows)]
-    words = (n * p * max(map(max, shifted), default=0)).bit_length() // 64 + 1
+    r, n = len(vectors), len(targets[0])
+    system = [[v[c] for c in pivots] for v in vectors]  # the columns of M
+    rows = [*zip(*system)]
+    widest = [max(abs(t[c]) for t in targets) for c in pivots]  # bounds every target at each pivot
+    square = math.prod(_squares(system, rows))  # D**2
+    numerator = math.prod(_squares([widest, *system], [[*row, e] for row, e in zip(rows, widest)]))  # U**2
+    lines = [*zip(*vectors)] if vectors else [()] * n  # the vectors at each coordinate
+    reach = max(sum(map(abs, line)) for line in lines)
+    tallest = max(max(map(abs, t)) for t in targets)
+    inside = set(pivots)
+    order = sorted(range(n), key=inside.__contains__)
+    lows = [min(0, *column) for column in system]
+    shifted = [[e - low for e in column] for column, low in zip(system, lows)]
+    words = (r * p * max(map(max, shifted), default=0)).bit_length() // 64 + 1
     packed = [_packed(column, words) for column in shifted]
-    x, r, modulus = [0] * n, list(b), 1
-    while modulus**2 <= 4 * numerator * square:
-        y = [f % p for f in _unpacked(sum(map(mul, [e % p for e in r], inverse)), n)]
-        offset = sum(map(mul, y, lows))
-        r = [(e - f - offset) // p for e, f in zip(r, _unpacked(sum(map(mul, y, packed)), n, words))]
-        x = [e + modulus * f for e, f in zip(x, y)]
-        modulus *= p
-    return _reconstructed(x, modulus, math.isqrt(numerator))
+    candidates: dict[int, tuple[list[int], int]] = {}
+
+    def holds(chosen: list[int], coordinates) -> bool:
+        """Whether N v = d t at these coordinates for these targets' candidates, packed across them."""
+        common = math.lcm(*(candidates[i][1] for i in chosen))
+        scaled = [[e * (common // d) for e in numerators] for numerators, d in map(candidates.get, chosen)]
+        largest = max((abs(e) for numerators in scaled for e in numerators), default=0)
+        size = (largest * reach + common * tallest).bit_length() // 64 + 1  # 64-bit words a field
+        half = 1 << 64 * size - 1
+        base = _packed([half] * len(chosen), size)
+
+        def spread(columns):  # field j of each int is the j-th chosen target's; every sum's stays below half
+            return [_packed([e + half for e in column], size) - base for column in columns]
+
+        lefts, rights = spread(zip(*scaled)), spread(zip(*map(targets.__getitem__, chosen)))
+        return all(sum(map(mul, lines[c], lefts)) == common * rights[c] for c in coordinates)
+
+    def lifted(block: Iterable[int], hint: int) -> bool:
+        """Find a candidate that holds for each target in the block; False once one is no combination."""
+        pending = {i: [targets[i][c] for c in pivots] for i in block}  # each target's residual r
+        sums = {i: [0] * r for i in pending}
+        modulus, steps, tries = 1, 0, 1
+        while pending:
+            for i, rest in pending.items():
+                y = [f % p for f in _unpacked(sum(map(mul, [e % p for e in rest], inverse)), r)]
+                offset = sum(map(mul, y, lows))
+                pending[i] = [(e - f - offset) // p for e, f in zip(rest, _unpacked(sum(map(mul, y, packed)), r, words))]
+                sums[i] = [e + modulus * f for e, f in zip(sums[i], y)]
+            modulus *= p
+            steps += 1
+            final = modulus**2 > 4 * numerator * square
+            if steps < tries and not final:
+                continue
+            tries *= 2
+            chosen = []
+            for i in [*pending]:
+                if final:
+                    candidate = _reconstructed(sums[i], modulus, math.isqrt(numerator))
+                else:
+                    numerators = [(e * hint + modulus // 2) % modulus - modulus // 2 for e in sums[i]]
+                    candidate = (numerators, hint) if max(map(abs, numerators)) * p < modulus else None
+                    candidate = candidate or _reconstructed(sums[i], modulus, math.isqrt(modulus) // 2)
+                if candidate is not None:
+                    candidates[i] = candidate
+                    chosen.append(i)
+                elif final:
+                    raise ArithmeticError("a lifted solution does not solve its system")
+                else:  # the others are likely no nearer: the next try starts with them
+                    pending[i] = pending.pop(i)
+                    break
+            if chosen and not holds(chosen, order):
+                for i in [*chosen]:
+                    if holds([i], order):
+                        continue
+                    if holds([i], pivots):  # the one solution, which fails outside the pivots
+                        return False
+                    if final:
+                        raise ArithmeticError("a lifted solution does not solve its system")
+                    chosen.remove(i)
+            for i in chosen:
+                del pending[i], sums[i]
+        return True
+
+    if not (lifted([0], 1) and lifted(range(1, len(targets)), candidates[0][1])):
+        return None
+    return [candidates[i] for i in range(len(targets))]
 
 
 def _squares(*families) -> list[int]:
@@ -159,8 +219,9 @@ def _squares(*families) -> list[int]:
     return min(squares, key=lambda family: sum(map(int.bit_length, family)))
 
 
-def _reconstructed(residues: list[int], modulus: int, bound: int) -> tuple[list[int], int]:
-    """N and d > 0 with N_i = d residues_i mod modulus and |N_i| <= bound, one d for all.
+def _reconstructed(residues: list[int], modulus: int, bound: int) -> tuple[list[int], int] | None:
+    """N and d > 0 with N_i = d residues_i mod modulus, |N_i| <= bound and 2 bound d < modulus,
+    one d for all; None as soon as d passes that bound.
 
     d grows by one rational reconstruction (extended Euclid, stopped at the first remainder
     within the bound) each time d residues_i is not already within it.  If the residues are
@@ -177,8 +238,10 @@ def _reconstructed(residues: list[int], modulus: int, bound: int) -> tuple[list[
                 quotient = r0 // r1
                 r0, r1, t0, t1 = r1, r0 - quotient * r1, t1, t0 - quotient * t1
             y, v = (r1, t1) if t1 > 0 else (-r1, -t1)
-            numerators = [e * v for e in numerators]
             d *= v
+            if 2 * bound * d >= modulus:
+                return None
+            numerators = [e * v for e in numerators]
         numerators.append(y)
     return numerators, d
 
@@ -190,15 +253,18 @@ def _field_bits(n: int) -> int:
 
 def _eliminated_mod(
     m: Sequence[Sequence[int]], p: int, inverse: bool = False
-) -> tuple[int, int, list[int], list[int]]:
-    """Rank, determinant, kept rows and pivot rows of ``m`` modulo a prime p < 2**_field_bits(len(m)).
+) -> tuple[int, int, list[int], list[int], list[int]]:
+    """Rank, determinant, kept rows, pivot rows and pivot columns of ``m`` modulo a prime p < 2**_field_bits(len(m)).
 
     Each row is one int of 64-bit fields, field 0 the current column.  Each step shifts field 0
     out of every row and adds (p - v) times the pivot row, reduced and scaled to lead with 1,
     where v is the row's field 0 mod p; so a field gains at most (p - 1)**2 a step, and only the
-    pivot row is ever reduced.  The pivot rows are the indices in ``m`` of the rows that pivot.
+    pivot row is ever reduced.  The pivot rows are the indices in ``m`` of the rows that pivot,
+    the k-th at the k-th pivot column.
 
-    Without ``inverse`` the pivot row is dropped, and no row is kept.  With it this is
+    Without ``inverse`` the pivot row is dropped, and no row is kept.  At a column without a
+    pivot the live rows are reduced mod p, and those that are 0 mod p leave: they never pivot.
+    With ``inverse`` this is
     Gauss-Jordan on m | I: row j carries a 1 in field n + j, and each pivot row is kept and
     updated at every later step, as the live rows are.  It stops at the first column t without
     a pivot, where row t of m's transpose depends mod p on the t before it.  The kept rows are
@@ -210,7 +276,7 @@ def _eliminated_mod(
         rows = [x | 1 << 64 * (n + j) for j, x in enumerate(rows)]
     order = list(range(n))  # the index in m of each live row
     width = 2 * n if inverse else n
-    rank, det, pivots = 0, 1, []
+    rank, det, pivots, columns = 0, 1, [], []
     for col in range(n):
         heads = [(x & 0xFFFF_FFFF_FFFF_FFFF) % p for x in rows]
         kept = rank if inverse else 0  # the live rows follow the kept ones
@@ -218,10 +284,15 @@ def _eliminated_mod(
         if k is None:
             if inverse:
                 break
-            rows = [x >> 64 for x in rows]
+            rows = [_packed([f % p for f in _unpacked(x >> 64, n - col - 1)]) for x in rows]
+            order = [i for i, x in zip(order, rows) if x]
+            rows = [x for x in rows if x]
+            if not rows:
+                break
             continue
         top, lead = rows.pop(kept + k) >> 64, heads.pop(kept + k)
         pivots.append(order.pop(k))
+        columns.append(col)
         det = (-det if k & 1 else det) * lead % p  # the pivot row moved up past k rows
         scale = pow(lead, -1, p)
         top = _packed([f * scale % p for f in _unpacked(top, width - col - 1)])
@@ -230,7 +301,7 @@ def _eliminated_mod(
             rows.insert(rank, top)
         rank += 1
     kept = [_packed([f % p for f in _unpacked(x >> 64 * (n - rank), n)]) for x in rows[:rank]] if inverse else []
-    return rank, det if rank == n else 0, kept, pivots
+    return rank, det if rank == n else 0, kept, pivots, columns
 
 
 def _packed(fields: Iterable[int], words: int = 1) -> int:

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -396,6 +397,7 @@ def _modular_cases(n: int) -> dict[str, tuple[tuple[tuple[int, ...], ...], tuple
     rank_n_minus_1[5] = [2 * a - b for a, b in zip(rank_n_minus_1[1], rank_n_minus_1[3])]
     base = random_int_rows(rng, n, -9, 9)[: n // 2]
     half_rank = base + [[-e for e in row] if rng.random() < 0.5 else row[:] for row in base]  # signed copies
+    half_rank += [base[0][:]] * (n % 2)  # square at an odd order too
     rng.shuffle(half_rank)
     zero_column = [[0, *row[1:]] for row in random_int_rows(rng, n, -2, 2)]
     long_row = random_int_rows(rng, n, -9, 9)
@@ -435,8 +437,7 @@ def test_the_modular_path_equals_bareiss(spans, monkeypatch, forks):
                 assert bool(forks) == (spans > 1 and large and rank == n), (n, name)
                 forks.clear()
                 assert integer_rank(rows) == rank, (n, name)
-                # a full rank needs one prime, and the all-zero matrix is certified one prime at a time
-                assert bool(forks) == (spans > 1 and large and 0 < rank < n), (n, name)
+                assert not forks, (n, name)  # one prime and its lifted row dependencies certify a rank
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -454,6 +455,19 @@ def _counted_primes(monkeypatch) -> list[int]:
     return primes
 
 
+def _recorded_calls(monkeypatch) -> list[tuple[int, bool]]:
+    """The prime and the mode (Gauss-Jordan or not) of each modular._eliminated_mod in this process from here on."""
+    calls = []
+    eliminated_mod = modular._eliminated_mod
+
+    def recorded(m, p, inverse=False):
+        calls.append((p, inverse))
+        return eliminated_mod(m, p, inverse)
+
+    monkeypatch.setattr(modular, "_eliminated_mod", recorded)
+    return calls
+
+
 def test_the_rank_of_a_full_rank_matrix_needs_one_prime(monkeypatch):
     rows = random_int_rows(Random(37), 128, -9, 9)
     A = ExactMatrix(rows)
@@ -466,13 +480,15 @@ def test_the_rank_of_a_full_rank_matrix_needs_one_prime(monkeypatch):
 
 
 def test_the_rank_of_a_half_rank_matrix_runs_the_planned_primes(monkeypatch):
-    # the first prime alone, then the fewest that certify rank 32 against the 33 largest row norms,
-    # and one to check: the first 8 primes of 28 bits, in order
-    rows, (rank, _) = _modular_cases(64)["rank n/2"]
-    monkeypatch.setattr("dihedrant.forks._fork_spans", lambda: 1)
-    primes = _counted_primes(monkeypatch)
-    assert ExactMatrix(rows).rank() == rank == 32
-    assert primes == [modular._prime(28, k) for k in range(8)]
+    # one forward elimination modulo the first prime, and one Gauss-Jordan on its pivot block, from
+    # which every other row is lifted: 64 random rows and signed copies of them, as in the benchmark
+    rng = Random(128)
+    base = random_int_rows(rng, 128, -9, 9)[:64]
+    rows = base + [[-e for e in rng.choice(base)] if rng.random() < 0.5 else rng.choice(base) for _ in range(64)]
+    rng.shuffle(rows)
+    calls = _recorded_calls(monkeypatch)
+    assert ExactMatrix(rows).rank() == 64
+    assert calls == [(modular._prime(28, 0), False), (modular._prime(28, 0), True)]
 
 
 def test_a_full_rank_that_the_first_prime_misses_needs_no_determinant(monkeypatch):
@@ -512,19 +528,24 @@ def test_a_full_rank_that_the_first_prime_misses_falls_back(row, monkeypatch):
         rows[10][7] += first
     expected = matrix._eliminated([r[:] for r in rows])
     assert expected[0] == n and expected[1] % first == 0
-    dependent = _recorded(monkeypatch, modular, "_dependent")
+    combined = _recorded(monkeypatch, modular, "_combined")
     ranks = _recorded(monkeypatch, modular, "rank")
     assert integer_det(rows) == expected[1]
-    assert dependent == [False] and ranks == [n]
+    # the determinant's dependency fails, and so does the rank's under the first prime; the next
+    # prime finds the full rank and lifts the determinant
+    assert combined[:2] == [None, None] and len(combined) == 3 and ranks == [n]
+    calls = _recorded_calls(monkeypatch)
+    assert integer_rank(rows) == n
+    assert [p for p, inverse in calls if not inverse] == [first, modular._prime(modular._field_bits(n), 1)]
 
 
 def test_a_singular_matrix_needs_one_prime_and_no_rank(monkeypatch):
     rows, (rank, det) = _modular_cases(64)["rank n-1"]
     primes = _counted_primes(monkeypatch)
-    dependent = _recorded(monkeypatch, modular, "_dependent")
+    combined = _recorded(monkeypatch, modular, "_combined")
     ranks = _recorded(monkeypatch, modular, "rank")
     assert integer_det(rows) == det == 0 and rank == 63
-    assert len(primes) == 1 and dependent == [True] and ranks == []
+    assert len(primes) == 1 and len(combined) == 1 and combined[0] is not None and ranks == []
 
 
 @pytest.mark.parametrize("name", ["full rank", "rank n-1", "rank n/2", "all zero"])
@@ -533,15 +554,72 @@ def test_a_wrong_reconstruction_never_gives_a_wrong_determinant(name, monkeypatc
     reconstructed = modular._reconstructed
 
     def wrong_denominator(*args):
-        numerators, d = reconstructed(*args)
-        return numerators, d + 1
+        found = reconstructed(*args)
+        return found and (found[0], found[1] + 1)
 
     monkeypatch.setattr(modular, "_reconstructed", wrong_denominator)
-    if rank == matrix.MODULAR_ORDER:  # the solution is unique, so a failed check is broken arithmetic
-        with pytest.raises(ArithmeticError, match="does not solve"):
-            integer_det(rows)
-    else:  # a failed dependency falls back to the certified rank
-        assert integer_det(rows) == det == 0
+    # past the bound the reconstruction is the one solution, so a failed check there is broken
+    # arithmetic; before it, a small integer solution is found without a reconstruction
+    try:
+        assert integer_det(rows) == det
+    except ArithmeticError as exc:
+        assert "does not solve" in str(exc) and name != "all zero"
+    else:
+        assert rank < matrix.MODULAR_ORDER
+
+
+def _product_rows(rng: Random, n: int, rank: int) -> list[list[int]]:
+    """U V for an n x rank U and a rank x n V with entries in [-9, 9], rows and columns shuffled: dense,
+    and of this rank, since U's first rows are unit lower triangular and V's first columns unit upper."""
+    U = [[int(i == j) or rng.randint(-9, 9) * (j < i or i >= rank) for j in range(rank)] for i in range(n)]
+    V = [[int(i == j) or rng.randint(-9, 9) * (j > i) for j in range(n)] for i in range(rank)]
+    rng.shuffle(U)
+    order = rng.sample(range(n), n)
+    columns = [[row[c] for row in V] for c in order]
+    return [[sum(map(operator.mul, row, column)) for column in columns] for row in U]
+
+
+@pytest.mark.parametrize("rank", [3, 32, 127])
+def test_the_rank_of_a_dense_product_equals_bareiss(rank, monkeypatch):
+    # every row depends on the pivot rows with a denominator of up to a few hundred bits
+    rows = _product_rows(Random(rank), 128, rank)
+    calls = _recorded_calls(monkeypatch)
+    assert integer_rank(rows) == matrix._eliminated([r[:] for r in rows])[0] == rank
+    assert [inverse for _, inverse in calls] == [False, True]
+
+
+@pytest.mark.parametrize("name", ["full rank", "rank n-1", "rank n/2", "zero column", "all zero", "rational"])
+@pytest.mark.parametrize("wrong", ["denominator", "zeros"])
+def test_a_wrong_reconstruction_never_gives_a_wrong_rank(name, wrong, monkeypatch):
+    rows, (rank, _) = _modular_cases(matrix.MODULAR_ORDER)[name]
+    reconstructed = modular._reconstructed
+
+    def patched(residues, modulus, bound):
+        found = reconstructed(residues, modulus, bound)
+        return found and ((found[0], found[1] + 1) if wrong == "denominator" else ([0] * len(residues), 1))
+
+    monkeypatch.setattr(modular, "_reconstructed", patched)
+    try:
+        assert integer_rank(rows) == rank
+    except ArithmeticError as exc:
+        assert "does not solve" in str(exc) and 0 < rank < matrix.MODULAR_ORDER
+
+
+@pytest.mark.parametrize("n", [matrix.MODULAR_ORDER - 1, matrix.MODULAR_ORDER, 63, 64, 255, 256])
+def test_the_forward_kernel_drops_dead_rows_and_keeps_rank_and_det(n):
+    # a column without a pivot drops the rows that are 0 mod p; rank, determinant and the pivot block
+    # are unchanged.  Orders 63, 64, 255 and 256 are the field edges, with matrices of known rank
+    p = modular._prime(modular._field_bits(n), 0)
+    if n in (63, 64, 255, 256):
+        rng = Random(n)
+        cases = {"rank 3": ((3, 0), _product_rows(rng, n, 3)), "rank n/2": ((n // 2, 0), _product_rows(rng, n, n // 2))}
+    else:
+        cases = {name: ((rank, det % p), rows) for name, (rows, (rank, det)) in _modular_cases(n).items()}
+    for name, ((rank, det_p), rows) in cases.items():
+        r, det_r, kept, pivots, columns = modular._eliminated_mod(rows, p)
+        assert (r, det_r, kept) == (rank, det_p, []), name
+        assert len(set(pivots)) == len(set(columns)) == r, name
+        assert modular._eliminated_mod([[rows[i][c] for c in columns] for i in pivots], p, True)[0] == r, name
 
 
 def test_the_reconstruction_shares_one_denominator():
@@ -556,7 +634,8 @@ def test_gauss_jordan_modulo_a_prime_inverts_the_pivot_block(name):
     rows, (rank, det) = _modular_cases(matrix.MODULAR_ORDER)[name]
     n = len(rows)
     p = modular._prime(modular._field_bits(n), 0)
-    t, det_p, kept, pivots = modular._eliminated_mod(rows, p, inverse=True)
+    t, det_p, kept, pivots, columns = modular._eliminated_mod(rows, p, inverse=True)
+    assert columns == [*range(t)]
     # the first t columns are independent modulo p, so over the rationals too
     assert len(kept) == len(pivots) == t <= rank and det_p == (det % p if t == n else 0)
     block = [[rows[c][k] for k in range(t)] for c in pivots]  # the pivot rows on the first t columns
@@ -581,9 +660,9 @@ def test_a_wrong_residue_fails_the_check_prime(where, monkeypatch, forks):
     def off_by_one(m, p, *args, **kwargs):
         if where == "child" and os.getpid() == caller and p != first and not paused:
             paused.append(time.sleep(0.2))  # so the child pulls a chunk before this process empties the queue
-        rank, det_p, kept, pivots = eliminated_mod(m, p, *args, **kwargs)
+        rank, det_p, *rest = eliminated_mod(m, p, *args, **kwargs)
         wrong = p == first if where == "caller" else os.getpid() != caller
-        return rank, (det_p + wrong) % p, kept, pivots
+        return rank, (det_p + wrong) % p, *rest
 
     monkeypatch.setattr(modular, "_eliminated_mod", off_by_one)
     with deadline(60), pytest.raises(ArithmeticError, match="a check prime disagrees"):
@@ -594,24 +673,26 @@ def test_a_wrong_residue_fails_the_check_prime(where, monkeypatch, forks):
 
 
 @pytest.mark.parametrize("det", [True, False])
-def test_a_rank_above_the_certified_rank_fails_the_check_prime(det, monkeypatch):
-    # the determinant reaches the rank's check prime only by its fallback, here forced by a
-    # reconstruction that breaks the dependency
-    rows, (rank, _) = _modular_cases(matrix.MODULAR_ORDER)["rank n/2"]
-    monkeypatch.setattr("dihedrant.forks._fork_spans", lambda: 1)
-    if det:
-        monkeypatch.setattr(modular, "_reconstructed", lambda residues, modulus, bound: ([0] * len(residues), 1))
-    primes = _counted_primes(monkeypatch)
-    assert (integer_det(rows) == 0 if det else True) and integer_rank(rows) == rank == matrix.MODULAR_ORDER // 2
-    check = primes[-1]  # the last prime run is the one that checks
-    counted = modular._eliminated_mod
+def test_a_rank_above_the_true_rank_fails_the_pivot_block(det, monkeypatch):
+    # a kernel that reports one pivot too many: the pivot block is singular modulo p, which
+    # Gauss-Jordan finds.  The determinant reaches the rank only by its fallback, here forced by a
+    # row 0 that is zero modulo the first prime, which a scaled row of the matrix keeps at rank n/2
+    n = matrix.MODULAR_ORDER
+    rows, (rank, _) = _modular_cases(n)["rank n/2"]
+    rows = [[modular._prime(modular._field_bits(n), 0) * e for e in rows[0]], *rows[1:]]
+    assert (integer_det(rows) == 0 if det else True) and integer_rank(rows) == rank == n // 2
+    eliminated_mod = modular._eliminated_mod
 
-    def one_too_many(m, p, *args, **kwargs):
-        rank_p, *rest = counted(m, p, *args, **kwargs)
-        return rank_p + (p == check and not args and not kwargs), *rest
+    def one_too_many(m, p, inverse=False):
+        rank_p, det_p, kept, pivots, columns = eliminated_mod(m, p, inverse)
+        if inverse:
+            return rank_p, det_p, kept, pivots, columns
+        row = min(set(range(len(m))).difference(pivots))
+        column = min(set(range(len(m))).difference(columns))
+        return rank_p + 1, det_p, kept, [*pivots, row], [*columns, column]
 
     monkeypatch.setattr(modular, "_eliminated_mod", one_too_many)
-    with pytest.raises(ArithmeticError, match="a check prime disagrees"):
+    with pytest.raises(ArithmeticError, match="fewer pivots"):
         integer_det(rows) if det else integer_rank(rows)
 
 
@@ -686,9 +767,9 @@ def test_every_prime_at_order_65_fits_the_fields(monkeypatch):
     singular = [*full[:-1], [a - 2 * b for a, b in zip(full[3], full[7])]]
     monkeypatch.setattr("dihedrant.forks._fork_spans", lambda: 1)
     primes = _counted_primes(monkeypatch)  # every prime of the kernel, forward and Gauss-Jordan
-    solved = modular._solved  # and every prime of a lifting's products
-    monkeypatch.setattr(modular, "_solved",
-                        lambda columns, inverse, b, p, square: primes.append(p) or solved(columns, inverse, b, p, square))
+    combined = modular._combined  # and every prime of a lifting's products
+    monkeypatch.setattr(modular, "_combined",
+                        lambda vectors, pivots, inverse, p, targets: primes.append(p) or combined(vectors, pivots, inverse, p, targets))
     for rows in (full, singular):
         assert _rank_and_det(rows) == matrix._eliminated([r[:] for r in rows])
     assert len(primes) > 6 and all(p + n * (p - 1) ** 2 < 2**64 for p in primes)
@@ -711,12 +792,12 @@ def test_the_search_and_the_functionals_leave_the_lifting_unloaded():
 
 @functools.lru_cache(maxsize=None)
 def _wide_case() -> tuple[tuple[tuple[int, ...], ...], tuple[int, int]]:
-    """Rows of order MODULAR_ORDER with entries of about 170 bits and rank n - 1, and their rank and
-    determinant by Bareiss."""
+    """Rows of order MODULAR_ORDER with entries of about 170 bits and full rank, and their rank and
+    determinant by Bareiss.  Column 0 is the lifting's right-hand side b, so x = (1, 0, ..., 0) and
+    no denominator divides out of the determinant: all of it is left to the primes."""
     rng = Random(170)
     n = matrix.MODULAR_ORDER
-    rows = [[rng.getrandbits(170) - (1 << 169) for _ in range(n)] for _ in range(n)]
-    rows[9] = [a - 3 * b for a, b in zip(rows[2], rows[30])]
+    rows = [[i * i % 7 - 3, *(rng.getrandbits(170) - (1 << 169) for _ in range(n - 1))] for i in range(n)]
     return tuple(map(tuple, rows)), matrix._eliminated(list(map(list, rows)))
 
 
@@ -728,7 +809,7 @@ def test_an_elimination_of_more_than_256_primes_equals_bareiss(spans, monkeypatc
     monkeypatch.setattr("dihedrant.forks._fork_spans", lambda: spans)
     primes = _counted_primes(monkeypatch)
     with deadline(120):
-        assert _rank_and_det(rows) == (rank, det) == (matrix.MODULAR_ORDER - 1, 0)
+        assert _rank_and_det(rows) == (rank, det) and rank == matrix.MODULAR_ORDER
     assert bool(forks) == (spans > 1)
     assert len(primes) > 256 or spans > 1  # a batch of more primes than the queue has positions
     with pytest.raises(ChildProcessError):
