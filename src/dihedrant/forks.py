@@ -10,8 +10,8 @@ process; there is no flag.  The spans pull the chunks from one queue, so a span 
 CPU takes fewer of them.  A child only writes its outcome to a pipe that the caller reads;
 the caller writes to no child.  A tracer cannot see into the children, so it loses the
 chunks that run there.  It has three callers: ``verify``'s claims, the random search's
-samples, and the one planner of the primes of a large determinant's quotient,
-``dihedrant.modular._residues``.
+samples, and the primes of a large determinant's quotient, in
+``dihedrant.modular._full_rank``.
 """
 
 from __future__ import annotations

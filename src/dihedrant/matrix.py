@@ -17,8 +17,8 @@ loop over signed permutation products, and ``integer_det`` and
 ``integer_rank`` each certify what they return.  Below order
 ``MODULAR_ORDER`` both run the fraction-free (Bareiss) loop.  From it on they
 call :mod:`dihedrant.modular`, imported on first use, which owns everything
-that runs modulo primes: the packed kernel, the primes and the one planner
-that shares them out.
+that runs modulo primes: the packed kernel, the primes, the liftings and the
+one choice of the primes of a determinant's quotient.
 """
 
 from __future__ import annotations

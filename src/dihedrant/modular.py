@@ -12,7 +12,7 @@
 * ``determinant`` runs Gauss-Jordan modulo p on A's transpose beside the identity.  At full rank
   Dixon's p-adic lifting (*Numer. Math.* 40, 1982) solves A x = b exactly, and the least common
   denominator s of x divides det A, so the primes find only det A / s (Abbott, Bronstein and
-  Mulders, ISSAC 1999).  ``_residues`` picks them, the fewest that take a product past Hadamard's
+  Mulders, ISSAC 1999).  ``_full_rank`` takes the fewest that take a product past Hadamard's
   bound and one more to check, and shares them out through the one fork-join
   :func:`dihedrant.forks._joined`.  Below full rank it stops at the first row t that depends mod p
   on the rows before it; that dependency, lifted as the rank's are, proves det A = 0.  If it fails,
@@ -73,14 +73,25 @@ def determinant(m: Sequence[Sequence[int]]) -> int:
 
 
 def _full_rank(m, columns, p: int, start: int, det_p: int, inverse: list[int]) -> int:
-    """det m from its residue and m's inverse modulo p; the primes from the start-th on find the rest."""
+    """det m from its residue and m's inverse modulo p; the primes from the start-th on find the rest.
+
+    Those primes are the fewest that do not divide s and take the product of p and theirs past
+    2H / s, with H Hadamard's bound, and one more, to check; the one fork-join shares them out.
+    """
     n = len(m)
     # small and fixed, but not constant: rows of equal sum c solve A x = (1, ..., 1) by x = 1/c
     b = [i * i % 7 - 3 for i in range(n)]
-    [(x, d)] = _combined(columns, range(n), inverse, p, [b])
+    square = math.prod(_squares(m, columns))  # H**2
+    [(x, d)] = _combined(columns, range(n), inverse, p, [b], square)
     s = d // math.gcd(d, *x)  # the least common denominator of the solution, which divides det m
-    square = math.prod(_squares(m, columns))  # D**2
-    *residues, (check, det_check) = [(p, det_p), *_residues(m, start, s * p, 4 * square, s)]  # (2H)**2
+    usable = (q for q in map(_prime, itertools.repeat(_field_bits(n)), itertools.count(start)) if s % q)
+    primes, reach = [], s * p
+    while reach**2 <= 4 * square:
+        primes.append(next(usable))
+        reach *= primes[-1]
+    primes.append(next(usable))
+    residues = _joined(lambda batch: [(q, _eliminated_mod(m, q)[1]) for q in batch], primes)
+    *residues, (check, det_check) = [(p, det_p), *residues]
     quotient, product = 0, 1
     for q, det_q in residues:  # q's residue is det m's over s, which q does not divide
         quotient += product * ((det_q * pow(s, -1, q) - quotient) * pow(product, -1, q) % q)
@@ -91,46 +102,31 @@ def _full_rank(m, columns, p: int, start: int, det_p: int, inverse: list[int]) -
     return s * quotient
 
 
-def _residues(m, start: int, product: int, square: int, skip: int) -> list[tuple[int, int]]:
-    """(q, det m mod q) for primes q, shared out through the one fork-join.
-
-    The primes are the fewest from the start-th on that do not divide ``skip`` and take
-    (product times theirs)**2 past ``square``, and one more, to check.
-    """
-    bits = _field_bits(len(m))
-    usable = (q for q in map(_prime, itertools.repeat(bits), itertools.count(start)) if skip % q)
-    primes = []
-    while product**2 <= square:
-        primes.append(next(usable))
-        product *= primes[-1]
-    primes.append(next(usable))
-    return _joined(lambda batch: [(q, _eliminated_mod(m, q)[1]) for q in batch], primes)
-
-
 def _combined(vectors, pivots: Sequence[int], inverse: list[int], p: int,
-              targets: Sequence[Sequence[int]]) -> list[tuple[list[int], int]] | None:
+              targets: Sequence[Sequence[int]], square: int = 0) -> list[tuple[list[int], int]] | None:
     """For each target t, N and d > 0 with N_1 v_1 + ... + N_r v_r = d t, the v the vectors; None
     if some target is no such combination.
 
     M, whose columns are the vectors at the coordinates ``pivots``, is invertible mod p, and
-    ``inverse`` holds the columns of its inverse mod p, packed.  A target is lifted against that
-    one inverse: x = M^-1 t[pivots] is the sum of y p**i, where each step takes y = M^-1 r mod p
-    and then r = (r - M y) / p, which is exact.  By Cramer's rule x = num / det M, and Hadamard's
-    bound, by rows or by columns, bounds |det M| by D and every |num| by U.  A rational
-    reconstruction x = N / d is tried after 1, 2, 4, ... steps and once p**k passes 2 U D, and it
-    stands only if the combination holds exactly at every coordinate, one outside the pivots
-    first.  Past the bound it is the solution itself: if it fails only outside the pivots, that
-    target is no combination; if it fails at the pivots, the arithmetic is broken, which raises.
-
-    The first target is lifted alone.  The others are then lifted as one block, and before the
-    bound each also tries the first one's denominator d: N = d x mod p**k, once it is small.
-    Solutions that share a denominator so need about half the steps.
+    ``inverse`` holds the columns of its inverse mod p, packed.  Every target is lifted against
+    that one inverse: x = M^-1 t[pivots] is the sum of y p**i, where each step takes
+    y = M^-1 r mod p and then r = (r - M y) / p, which is exact.  By Cramer's rule
+    x = num / det M, and Hadamard's bound, by rows or by columns, bounds |det M| by D (``square``
+    is D**2 where the caller has it) and every |num| by U.  A rational reconstruction x = N / d is
+    tried after the first step, again once the steps since the last try reach a share 1 / m of
+    all steps so far, for m targets still lifting (after 1, 2, 4, ... steps for one), and once
+    p**k passes 2 U D.  A try that fails stops at the first residue of one target, at about the
+    cost of one target's step; so while more targets lift than steps have run, every step tries,
+    and a block of dense dependencies stops at the first step that suffices.  A candidate stands only if the combination holds exactly
+    at every coordinate, one outside the pivots first.  Past the bound it is the solution itself:
+    if it fails only outside the pivots, that target is no combination; if it fails at the pivots,
+    the arithmetic is broken, which raises.
     """
     r, n = len(vectors), len(targets[0])
     system = [[v[c] for c in pivots] for v in vectors]  # the columns of M
     rows = [*zip(*system)]
     widest = [max(abs(t[c]) for t in targets) for c in pivots]  # bounds every target at each pivot
-    square = math.prod(_squares(system, rows))  # D**2
+    square = square or math.prod(_squares(system, rows))  # D**2
     numerator = math.prod(_squares([widest, *system], [[*row, e] for row, e in zip(rows, widest)]))  # U**2
     lines = [*zip(*vectors)] if vectors else [()] * n  # the vectors at each coordinate
     reach = max(sum(map(abs, line)) for line in lines)
@@ -158,54 +154,43 @@ def _combined(vectors, pivots: Sequence[int], inverse: list[int], p: int,
         lefts, rights = spread(zip(*scaled)), spread(zip(*map(targets.__getitem__, chosen)))
         return all(sum(map(mul, lines[c], lefts)) == common * rights[c] for c in coordinates)
 
-    def lifted(block: Iterable[int], hint: int) -> bool:
-        """Find a candidate that holds for each target in the block; False once one is no combination."""
-        pending = {i: [targets[i][c] for c in pivots] for i in block}  # each target's residual r
-        sums = {i: [0] * r for i in pending}
-        modulus, steps, tries = 1, 0, 1
-        while pending:
-            for i, rest in pending.items():
-                y = [f % p for f in _unpacked(sum(map(mul, [e % p for e in rest], inverse)), r)]
-                offset = sum(map(mul, y, lows))
-                pending[i] = [(e - f - offset) // p for e, f in zip(rest, _unpacked(sum(map(mul, y, packed)), r, words))]
-                sums[i] = [e + modulus * f for e, f in zip(sums[i], y)]
-            modulus *= p
-            steps += 1
-            final = modulus**2 > 4 * numerator * square
-            if steps < tries and not final:
-                continue
-            tries *= 2
-            chosen = []
-            for i in [*pending]:
+    pending = {i: [t[c] for c in pivots] for i, t in enumerate(targets)}  # each target's residual r
+    sums = {i: [0] * r for i in pending}
+    modulus, steps, tries = 1, 0, 1
+    while pending:
+        for i, rest in pending.items():
+            y = [f % p for f in _unpacked(sum(map(mul, [e % p for e in rest], inverse)), r)]
+            offset = sum(map(mul, y, lows))
+            pending[i] = [(e - f - offset) // p for e, f in zip(rest, _unpacked(sum(map(mul, y, packed)), r, words))]
+            sums[i] = [e + modulus * f for e, f in zip(sums[i], y)]
+        modulus *= p
+        steps += 1
+        final = modulus**2 > 4 * numerator * square
+        if steps < tries and not final:
+            continue
+        tries = steps + max(1, steps // len(pending))
+        chosen = []
+        for i in [*pending]:
+            candidate = _reconstructed(sums[i], modulus, math.isqrt(numerator if final else modulus // 4))
+            if candidate is not None:
+                candidates[i] = candidate
+                chosen.append(i)
+            elif final:
+                raise ArithmeticError("a lifted solution does not solve its system")
+            else:  # the others are likely no nearer: the next try starts with them
+                pending[i] = pending.pop(i)
+                break
+        if chosen and not holds(chosen, order):
+            for i in [*chosen]:
+                if holds([i], order):
+                    continue
+                if holds([i], pivots):  # the one solution, which fails outside the pivots
+                    return None
                 if final:
-                    candidate = _reconstructed(sums[i], modulus, math.isqrt(numerator))
-                else:
-                    numerators = [(e * hint + modulus // 2) % modulus - modulus // 2 for e in sums[i]]
-                    candidate = (numerators, hint) if max(map(abs, numerators)) * p < modulus else None
-                    candidate = candidate or _reconstructed(sums[i], modulus, math.isqrt(modulus) // 2)
-                if candidate is not None:
-                    candidates[i] = candidate
-                    chosen.append(i)
-                elif final:
                     raise ArithmeticError("a lifted solution does not solve its system")
-                else:  # the others are likely no nearer: the next try starts with them
-                    pending[i] = pending.pop(i)
-                    break
-            if chosen and not holds(chosen, order):
-                for i in [*chosen]:
-                    if holds([i], order):
-                        continue
-                    if holds([i], pivots):  # the one solution, which fails outside the pivots
-                        return False
-                    if final:
-                        raise ArithmeticError("a lifted solution does not solve its system")
-                    chosen.remove(i)
-            for i in chosen:
-                del pending[i], sums[i]
-        return True
-
-    if not (lifted([0], 1) and lifted(range(1, len(targets)), candidates[0][1])):
-        return None
+                chosen.remove(i)
+        for i in chosen:
+            del pending[i], sums[i]
     return [candidates[i] for i in range(len(targets))]
 
 

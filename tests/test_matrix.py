@@ -558,14 +558,11 @@ def test_a_wrong_reconstruction_never_gives_a_wrong_determinant(name, monkeypatc
         return found and (found[0], found[1] + 1)
 
     monkeypatch.setattr(modular, "_reconstructed", wrong_denominator)
-    # past the bound the reconstruction is the one solution, so a failed check there is broken
-    # arithmetic; before it, a small integer solution is found without a reconstruction
-    try:
-        assert integer_det(rows) == det
-    except ArithmeticError as exc:
-        assert "does not solve" in str(exc) and name != "all zero"
-    else:
-        assert rank < matrix.MODULAR_ORDER
+    if rank == 0:  # no pivot, so no solution to reconstruct
+        assert integer_det(rows) == det == 0
+    else:  # past the bound each lifted solution is unique, so a failed check there is broken arithmetic
+        with pytest.raises(ArithmeticError, match="does not solve"):
+            integer_det(rows)
 
 
 def _product_rows(rng: Random, n: int, rank: int) -> list[list[int]]:
@@ -588,6 +585,28 @@ def test_the_rank_of_a_dense_product_equals_bareiss(rank, monkeypatch):
     assert [inverse for _, inverse in calls] == [False, True]
 
 
+def test_a_block_of_dependencies_stops_at_the_first_step_that_suffices(monkeypatch):
+    # 64 rows lift together, so a try that fails costs little beside a step: the block tries at every
+    # step, and the step before the one that settles it was too short for some row's reconstruction
+    rows = _product_rows(Random(64), 128, 64)
+    p = modular._prime(modular._field_bits(128), 0)
+    tries = []
+    reconstructed = modular._reconstructed
+
+    def recorded(residues, modulus, bound):
+        tries.append((modulus, reconstructed(residues, modulus, bound)))
+        return tries[-1][1]
+
+    monkeypatch.setattr(modular, "_reconstructed", recorded)
+    assert integer_rank(rows) == 64
+    found = [(modulus, candidate) for modulus, candidate in tries if candidate is not None]
+    last = {modulus for modulus, _ in found}
+    assert len(found) == 64 and len(last) == 1
+    earlier = last.pop() // p
+    assert earlier.bit_length() > 400  # denominators of about 270 bits, far past the first steps
+    assert any(2 * max(map(abs, N)) * d >= earlier for _, (N, d) in found)
+
+
 @pytest.mark.parametrize("name", ["full rank", "rank n-1", "rank n/2", "zero column", "all zero", "rational"])
 @pytest.mark.parametrize("wrong", ["denominator", "zeros"])
 def test_a_wrong_reconstruction_never_gives_a_wrong_rank(name, wrong, monkeypatch):
@@ -599,10 +618,11 @@ def test_a_wrong_reconstruction_never_gives_a_wrong_rank(name, wrong, monkeypatc
         return found and ((found[0], found[1] + 1) if wrong == "denominator" else ([0] * len(residues), 1))
 
     monkeypatch.setattr(modular, "_reconstructed", patched)
-    try:
+    if rank in (0, matrix.MODULAR_ORDER):  # no row to lift
         assert integer_rank(rows) == rank
-    except ArithmeticError as exc:
-        assert "does not solve" in str(exc) and 0 < rank < matrix.MODULAR_ORDER
+    else:  # past the bound each lifted solution is unique, so a failed check there is broken arithmetic
+        with pytest.raises(ArithmeticError, match="does not solve"):
+            integer_rank(rows)
 
 
 @pytest.mark.parametrize("n", [matrix.MODULAR_ORDER - 1, matrix.MODULAR_ORDER, 63, 64, 255, 256])
@@ -769,7 +789,7 @@ def test_every_prime_at_order_65_fits_the_fields(monkeypatch):
     primes = _counted_primes(monkeypatch)  # every prime of the kernel, forward and Gauss-Jordan
     combined = modular._combined  # and every prime of a lifting's products
     monkeypatch.setattr(modular, "_combined",
-                        lambda vectors, pivots, inverse, p, targets: primes.append(p) or combined(vectors, pivots, inverse, p, targets))
+                        lambda vectors, pivots, inverse, p, *rest: primes.append(p) or combined(vectors, pivots, inverse, p, *rest))
     for rows in (full, singular):
         assert _rank_and_det(rows) == matrix._eliminated([r[:] for r in rows])
     assert len(primes) > 6 and all(p + n * (p - 1) ** 2 < 2**64 for p in primes)
