@@ -758,16 +758,18 @@ def run_claims(ids: list[str], seed: int = 0, trials: int = 200) -> list[Theorem
     Every id, ``trials`` (1 to ``MAX_TRIALS``) and ``seed`` are checked before any claim runs.
     The join returns each claim's report fields in the queue's order, heavy claims first.
     """
-    unknown = next((claim_id for claim_id in ids if claim_id not in CLAIMS), None)
-    if unknown is not None:
-        raise KeyError(unknown)
+    if isinstance(ids, str):  # its characters would read as ids
+        raise ValueError(f"ids must be a list of claim ids, got {ids!r}")
+    for name, value in (("seed", seed), ("trials", trials)):
+        if type(value) is not int:  # bools too; a float would fail inside _draws, perhaps in a child
+            raise ValueError(f"{name} must be an int, got {value!r}")
+    runs = [CLAIMS[claim_id].run for claim_id in ids]  # an unknown id raises KeyError
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     if trials > MAX_TRIALS:
         raise ResourceLimitError(f"{trials} trials exceed the limit of {MAX_TRIALS} per claim")
-    runs = [CLAIMS[claim_id].run for claim_id in ids]
     rank = {claim_id: k for k, claim_id in enumerate(_HEAVY_CLAIMS)}
     order = sorted(range(len(ids)), key=lambda i: rank.get(ids[i], len(rank)))
 

@@ -9,9 +9,8 @@ which a forked child would not have, or with a cap below two, every item runs in
 process; there is no flag.  The spans pull the chunks from one queue, so a span on a busy
 CPU takes fewer of them.  A child only writes its outcome to a pipe that the caller reads;
 the caller writes to no child.  A tracer cannot see into the children, so it loses the
-chunks that run there.  It has three callers: ``verify``'s claims, the random search's
-samples, and the primes of a large determinant's quotient, in
-``dihedrant.modular._full_rank``.
+chunks that run there.  It has two callers, both in ``dihedrant.analysis``: ``verify``'s
+claims and the random search's samples.
 """
 
 from __future__ import annotations

@@ -88,6 +88,8 @@ def _exact(value) -> int | Fraction:
 
 def parse_scalar(text: str) -> Fraction:
     """Parse an ASCII integer or 'p/q' string, surrounding whitespace allowed; reject the rest."""
+    if not isinstance(text, str):
+        raise MatrixFormatError(f"not a string: {_brief.repr(text)}")
     return Fraction(_parse(text))
 
 
@@ -163,6 +165,8 @@ class ExactMatrix:
         """Replace row j by alpha*(row j) + beta*b, other rows unchanged."""
         if not 1 <= j <= self.n:
             raise ValueError(f"row {j} outside 1..{self.n}")
+        if _not_a_row(b):
+            raise ValueError(f"replacement row is a {type(b).__name__}, not a sequence of entries")
         vec = tuple(map(_exact, b))
         if len(vec) != self.n:
             raise ValueError(f"replacement row has {len(vec)} entries, expected {self.n}")

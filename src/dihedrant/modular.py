@@ -13,16 +13,16 @@
   Dixon's p-adic lifting (*Numer. Math.* 40, 1982) solves A x = b exactly, and the least common
   denominator s of x divides det A, so the primes find only det A / s (Abbott, Bronstein and
   Mulders, ISSAC 1999).  ``_full_rank`` takes the fewest that take a product past Hadamard's
-  bound and one more to check, and shares them out through the one fork-join
-  :func:`dihedrant.forks._joined`.  Below full rank it stops at the first row t that depends mod p
-  on the rows before it; that dependency, lifted as the rank's are, proves det A = 0.  If it fails,
-  p divided a minor: ``rank`` certifies the rank, and at full rank the next prime starts over.
+  bound, one at a time in this process, folding each residue into the Chinese remainder sum, and
+  one more to check.  Below full rank it stops at the first row t that depends mod p on the rows
+  before it; that dependency, lifted as the rank's are, proves det A = 0.  If it fails, p divided
+  a minor: ``rank`` certifies the rank, and at full rank the next prime starts over.
 
 Each step of a lifting is two packed products: M^-1 r mod p, whose 64-bit fields stay below
 n (p - 1)**2 < 2**64 by ``_field_bits``, and M y, with M's columns shifted to be non-negative and
 packed in fields of whole 64-bit words.  Every result rests on an identity checked in integers; one
-that no unlucky prime explains raises ``ArithmeticError``.  The module is imported on first use, so
-importing the package compiles none of it.
+that no unlucky prime explains raises ``ArithmeticError``.  The module imports nothing from the
+package and is imported on first use, so importing the package compiles none of it.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ import sys
 from array import array
 from operator import mul
 from typing import Iterable, Sequence
-
-from .forks import _joined
 
 
 def rank(m: Sequence[Sequence[int]]) -> int:
@@ -76,7 +74,7 @@ def _full_rank(m, columns, p: int, start: int, det_p: int, inverse: list[int]) -
     """det m from its residue and m's inverse modulo p; the primes from the start-th on find the rest.
 
     Those primes are the fewest that do not divide s and take the product of p and theirs past
-    2H / s, with H Hadamard's bound, and one more, to check; the one fork-join shares them out.
+    2H / s, with H Hadamard's bound, and one more, to check; each residue is folded in as found.
     """
     n = len(m)
     # small and fixed, but not constant: rows of equal sum c solve A x = (1, ..., 1) by x = 1/c
@@ -85,19 +83,14 @@ def _full_rank(m, columns, p: int, start: int, det_p: int, inverse: list[int]) -
     [(x, d)] = _combined(columns, range(n), inverse, p, [b], square)
     s = d // math.gcd(d, *x)  # the least common denominator of the solution, which divides det m
     usable = (q for q in map(_prime, itertools.repeat(_field_bits(n)), itertools.count(start)) if s % q)
-    primes, reach = [], s * p
-    while reach**2 <= 4 * square:
-        primes.append(next(usable))
-        reach *= primes[-1]
-    primes.append(next(usable))
-    residues = _joined(lambda batch: [(q, _eliminated_mod(m, q)[1]) for q in batch], primes)
-    *residues, (check, det_check) = [(p, det_p), *residues]
-    quotient, product = 0, 1
-    for q, det_q in residues:  # q's residue is det m's over s, which q does not divide
+    quotient, product = 0, 1  # q's residue is det m's over s, which q does not divide
+    for q, det_q in itertools.chain([(p, det_p)], ((q, _eliminated_mod(m, q)[1]) for q in usable)):
+        if (s * product) ** 2 > 4 * square:
+            break  # q is the check prime
         quotient += product * ((det_q * pow(s, -1, q) - quotient) * pow(product, -1, q) % q)
         product *= q
     quotient -= product if 2 * quotient > product else 0  # balanced
-    if det_check != s * quotient % check:
+    if det_q != s * quotient % q:
         raise ArithmeticError("a check prime disagrees with the lifted determinant")
     return s * quotient
 

@@ -15,7 +15,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dihedrant import analysis, matrix, modular
+from dihedrant import analysis
 from dihedrant.analysis import (
     CLAIMS,
     SearchConfig,
@@ -572,20 +572,12 @@ def _forked_claims() -> list:
     return run_claims(claim_ids(), seed=5, trials=5)
 
 
-def _forked_elimination() -> int:
-    n = matrix.MODULAR_ORDER
-    return integer_det([[(i * i + 3 * j) % 19 - 9 + (i == j) * i for j in range(n)] for i in range(n)])
-
-
 # every caller of the fork-join, each large enough to fork, with a function that each of its spans calls:
-# the search and the claims draw their samples through analysis._draws, and every prime span of a
-# determinant runs each of its primes through modular._eliminated_mod (this one lifts modulo one prime
-# and then shares out three)
+# the search and the claims draw their samples through analysis._draws
 forked_callers = pytest.mark.parametrize(
     "forked, hook",
-    [(_forked_search, (analysis, "_draws")), (_forked_claims, (analysis, "_draws")),
-     (_forked_elimination, (modular, "_eliminated_mod"))],
-    ids=["search", "claims", "elimination"],
+    [(_forked_search, (analysis, "_draws")), (_forked_claims, (analysis, "_draws"))],
+    ids=["search", "claims"],
 )
 
 
@@ -608,8 +600,8 @@ def test_an_exception_in_a_forked_span_reaches_the_caller(forked, hook, monkeypa
     def fails_in_a_child(*args, **kwargs):
         if os.getpid() != parent:
             raise OverflowError("a forked span failed")
-        if len(paused) < 2:  # so every child pulls a chunk before this process can empty the queue; two,
-            paused.append(time.sleep(0.2))  # as an elimination's first prime runs here before any fork
+        if not paused:  # so every child pulls a chunk before this process can empty the queue
+            paused.append(time.sleep(0.2))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(*hook, fails_in_a_child)
@@ -628,8 +620,6 @@ def test_an_interrupted_search_kills_and_reaps_its_children(forked, hook, monkey
 
     def interrupted(*args, **kwargs):
         if os.getpid() == parent:
-            if not forks:  # an elimination's first prime runs in this process before any span forks
-                return original(*args, **kwargs)
             raise KeyboardInterrupt
         time.sleep(20)  # a child the caller waits for, rather than kills, holds it this long
         raise OverflowError("a forked span outlived the interrupt")
@@ -654,8 +644,8 @@ original, parent, paused = getattr(module, name), os.getpid(), []
 def fails_in_a_child(*args, **kwargs):
     if os.getpid() != parent:
         raise OverflowError("a forked span failed")
-    if len(paused) < 2:  # so every child fails before this process reads from or writes to a pipe; two,
-        paused.append(time.sleep(0.2))  # as an elimination's first prime runs here before any fork
+    if not paused:  # so every child fails before this process reads from or writes to a pipe
+        paused.append(time.sleep(0.2))
     return original(*args, **kwargs)
 
 setattr(module, name, fails_in_a_child)
@@ -800,6 +790,11 @@ def test_the_claim_queue_forks_up_to_one_byte_of_positions(monkeypatch, forks, c
     (["thm:AT", "oracle:elim"], -1, 1, ValueError),
     (["thm:AT", "oracle:elim"], 0, analysis.MAX_TRIALS + 1, ResourceLimitError),
     (["thm:AT"], 0, 10**20, ResourceLimitError),
+    (["thm:AT", "oracle:elim"], 7.0, 1, ValueError),  # a float would fail inside _draws, perhaps in a child
+    (["thm:AT", "oracle:elim"], True, 1, ValueError),
+    (["thm:AT", "oracle:elim"], 0, 5.0, ValueError),
+    (["thm:AT", "oracle:elim"], 0, True, ValueError),  # would run one trial
+    ("eq:n3", 0, 1, ValueError),  # would read as the ids "e", "q", ...
 ])
 def test_run_claims_checks_its_arguments_before_any_claim_or_fork(monkeypatch, forks, ids, seed, trials, error):
     ran = []

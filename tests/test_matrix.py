@@ -1,12 +1,12 @@
 """Exact matrices: structure operations, rank, and the signed-product kernel."""
 
+import ast
 import functools
 import math
 import operator
 import os
 import subprocess
 import sys
-import time
 from array import array
 from decimal import Decimal
 from fractions import Fraction
@@ -31,7 +31,6 @@ from dihedrant.matrix_io import load_matrix
 from dihedrant.schemes import false_sarrus_scheme
 
 from conftest import (
-    CPUS,
     FIXTURES,
     deadline,
     gauss_det,
@@ -69,9 +68,8 @@ def test_floats_and_bools_are_rejected():
 
 @pytest.mark.parametrize("bad", ["1e3", "1_000", "1.5", "\u0663", "3/0", Decimal("0.5"), 1.0, None, [1]])
 def test_one_strict_scalar_parser(bad):
-    if isinstance(bad, str):
-        with pytest.raises(MatrixFormatError):
-            parse_scalar(bad)
+    with pytest.raises(MatrixFormatError):
+        parse_scalar(bad)
     with pytest.raises(ValueError):
         ExactMatrix([[bad]])
 
@@ -99,6 +97,8 @@ def test_scalar_strings_go_through_parse_scalar():
     for parse in (parse_scalar, entry_of):
         with pytest.raises(MatrixFormatError, match="zero denominator"):
             parse("3/0")
+    with pytest.raises(MatrixFormatError, match="not a string: 5"):  # an entry, but no string to parse
+        parse_scalar(5)
     q = Fraction(5, 7)
     assert ExactMatrix([[q]])._grid[0][0] is q
 
@@ -303,6 +303,13 @@ def test_linear_combination_row_errors():
         A.linear_combination_row(1, 1, 1, (1, 1))
 
 
+@pytest.mark.parametrize("b, kind", [("12", "str"), (5, "int"), (b"\x01\x02", "bytes"), ({1: 0, 2: 0}, "dict")])
+def test_linear_combination_row_rejects_a_row_that_is_no_sequence_of_entries(b, kind):
+    # a str of two digits would otherwise read as the row (1, 2), and an int end in a bare TypeError
+    with pytest.raises(ValueError, match=f"replacement row is a {kind}, not a sequence of entries"):
+        ExactMatrix.identity(2).linear_combination_row(1, 1, 1, b)
+
+
 # ---------------------------------------------------------------------------
 # rank
 
@@ -421,25 +428,14 @@ def test_the_modular_cases_match_the_oracles():
             assert rank == {"rank n-1": n - 1, "rank n/2": n // 2, "zero column": n - 1, "all zero": 0}.get(name, n)
 
 
-@pytest.mark.parametrize("spans", range(1, max(CPUS, 3) + 1))
-def test_the_modular_path_equals_bareiss(spans, monkeypatch, forks):
-    if spans > 1 and not hasattr(os, "fork"):
-        pytest.skip("needs os.fork")
-    monkeypatch.setattr("dihedrant.forks._fork_spans", lambda: spans)
+def test_the_modular_path_equals_bareiss(monkeypatch, forks):
+    monkeypatch.setattr("dihedrant.forks._fork_spans", lambda: 2)  # however many CPUs the fork-join sees
     with deadline(120):
         for n in (matrix.MODULAR_ORDER - 1, matrix.MODULAR_ORDER, 64):
             for name, (rows, (rank, det)) in _modular_cases(n).items():
-                large = n >= matrix.MODULAR_ORDER
-                forks.clear()
                 assert integer_det(rows) == det, (n, name)
-                # a singular determinant is certified by one dependency; a full-rank one shares out the
-                # primes that its quotient needs and the check prime
-                assert bool(forks) == (spans > 1 and large and rank == n), (n, name)
-                forks.clear()
                 assert integer_rank(rows) == rank, (n, name)
-                assert not forks, (n, name)  # one prime and its lifted row dependencies certify a rank
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert forks == []  # every prime of a rank or a determinant runs in this process
 
 
 def _counted_primes(monkeypatch) -> list[int]:
@@ -471,12 +467,21 @@ def _recorded_calls(monkeypatch) -> list[tuple[int, bool]]:
 def test_the_rank_of_a_full_rank_matrix_needs_one_prime(monkeypatch):
     rows = random_int_rows(Random(37), 128, -9, 9)
     A = ExactMatrix(rows)
-    monkeypatch.setattr("dihedrant.forks._fork_spans", lambda: 1)
     primes = _counted_primes(monkeypatch)
     assert A.rank() == 128 and len(primes) == 1
     primes.clear()
     # Hadamard's bound has about 760 bits, 28 primes' worth; lifting leaves a quotient of a few primes
     assert elimination_det(A) == matrix._eliminated(rows)[1] and len(primes) <= 6
+
+
+def test_a_full_rank_determinant_runs_the_planned_primes(monkeypatch):
+    # Gauss-Jordan modulo the first prime, whose solution is lifted; three primes of the quotient
+    # det / s, each folded into the Chinese remainder sum as it is found; and the check prime
+    rows = random_int_rows(Random(37), 128, -9, 9)
+    calls = _recorded_calls(monkeypatch)
+    assert elimination_det(ExactMatrix(rows)) == matrix._eliminated([r[:] for r in rows])[1]
+    assert calls == [(268435399, True), (268435367, False), (268435361, False), (268435337, False), (268435331, False)]
+    assert [p for p, _ in calls] == [modular._prime(28, k) for k in range(5)]
 
 
 def test_the_rank_of_a_half_rank_matrix_runs_the_planned_primes(monkeypatch):
@@ -496,7 +501,6 @@ def test_a_full_rank_that_the_first_prime_misses_needs_no_determinant(monkeypatc
     n = matrix.MODULAR_ORDER
     rows = random_int_rows(Random(41), n, -9, 9)
     rows[0] = [modular._prime(modular._field_bits(n), 0) * e for e in rows[0]]  # zero modulo the first prime
-    monkeypatch.setattr("dihedrant.forks._fork_spans", lambda: 1)
     primes = _counted_primes(monkeypatch)
     assert ExactMatrix(rows).rank() == n and len(primes) > 2
 
@@ -666,30 +670,22 @@ def test_gauss_jordan_modulo_a_prime_inverts_the_pivot_block(name):
             assert sum(inverse[k][c] * block[u][i] for u, c in enumerate(pivots)) % p == (k == i)
 
 
-@pytest.mark.parametrize("where", ["caller", "child"])
-def test_a_wrong_residue_fails_the_check_prime(where, monkeypatch, forks):
-    if where == "child" and not hasattr(os, "fork"):
-        pytest.skip("needs os.fork")
-    monkeypatch.setattr("dihedrant.forks._fork_spans", lambda: 1 if where == "caller" else 2)
-    caller = os.getpid()
-    rows, (_, det) = _modular_cases(matrix.MODULAR_ORDER)["full rank"]
-    first = modular._prime(modular._field_bits(matrix.MODULAR_ORDER), 0)  # lifted, always in this process
+@pytest.mark.parametrize("wrong", ["lifted", "quotient", "check"])
+def test_a_wrong_residue_fails_the_check_prime(wrong, monkeypatch):
+    rows, _ = _modular_cases(matrix.MODULAR_ORDER)["full rank"]
     eliminated_mod = modular._eliminated_mod
-    paused = []
+    primes = _counted_primes(monkeypatch)
+    integer_det(rows)
+    assert len(primes) > 2  # the lifted prime, the primes of the quotient, and the check prime
+    target = {"lifted": primes[0], "quotient": primes[1], "check": primes[-1]}[wrong]
 
     def off_by_one(m, p, *args, **kwargs):
-        if where == "child" and os.getpid() == caller and p != first and not paused:
-            paused.append(time.sleep(0.2))  # so the child pulls a chunk before this process empties the queue
         rank, det_p, *rest = eliminated_mod(m, p, *args, **kwargs)
-        wrong = p == first if where == "caller" else os.getpid() != caller
-        return rank, (det_p + wrong) % p, *rest
+        return rank, (det_p + (p == target)) % p, *rest
 
     monkeypatch.setattr(modular, "_eliminated_mod", off_by_one)
-    with deadline(60), pytest.raises(ArithmeticError, match="a check prime disagrees"):
+    with pytest.raises(ArithmeticError, match="a check prime disagrees"):
         integer_det(rows)
-    assert bool(forks) == (where == "child")
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("det", [True, False])
@@ -785,7 +781,6 @@ def test_every_prime_at_order_65_fits_the_fields(monkeypatch):
     rng = Random(65)
     full = random_int_rows(rng, n, -9, 9)
     singular = [*full[:-1], [a - 2 * b for a, b in zip(full[3], full[7])]]
-    monkeypatch.setattr("dihedrant.forks._fork_spans", lambda: 1)
     primes = _counted_primes(monkeypatch)  # every prime of the kernel, forward and Gauss-Jordan
     combined = modular._combined  # and every prime of a lifting's products
     monkeypatch.setattr(modular, "_combined",
@@ -810,6 +805,13 @@ def test_the_search_and_the_functionals_leave_the_lifting_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
+def test_the_modular_module_imports_nothing_from_the_package():
+    tree = ast.parse(Path(modular.__file__).read_text(encoding="utf-8"))
+    imported = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+                or isinstance(node, (ast.Import, ast.ImportFrom)) and "dihedrant" in ast.unparse(node)]
+    assert imported == []
+
+
 @functools.lru_cache(maxsize=None)
 def _wide_case() -> tuple[tuple[tuple[int, ...], ...], tuple[int, int]]:
     """Rows of order MODULAR_ORDER with entries of about 170 bits and full rank, and their rank and
@@ -821,19 +823,12 @@ def _wide_case() -> tuple[tuple[tuple[int, ...], ...], tuple[int, int]]:
     return tuple(map(tuple, rows)), matrix._eliminated(list(map(list, rows)))
 
 
-@pytest.mark.parametrize("spans", [1, 2])
-def test_an_elimination_of_more_than_256_primes_equals_bareiss(spans, monkeypatch, forks):
-    if spans > 1 and not hasattr(os, "fork"):
-        pytest.skip("needs os.fork")
+def test_an_elimination_of_more_than_256_primes_equals_bareiss(monkeypatch):
     rows, (rank, det) = _wide_case()
-    monkeypatch.setattr("dihedrant.forks._fork_spans", lambda: spans)
     primes = _counted_primes(monkeypatch)
     with deadline(120):
         assert _rank_and_det(rows) == (rank, det) and rank == matrix.MODULAR_ORDER
-    assert bool(forks) == (spans > 1)
-    assert len(primes) > 256 or spans > 1  # a batch of more primes than the queue has positions
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert len(primes) > 256
 
 
 # ---------------------------------------------------------------------------
