@@ -752,7 +752,7 @@ def run_claim(claim_id: str, seed: int = 0, trials: int = 200) -> list[TheoremRe
     return run_claims([claim_id], seed, trials)
 
 
-def run_claims(ids: list[str], seed: int = 0, trials: int = 200) -> list[TheoremReport]:
+def run_claims(ids: Iterable[str], seed: int = 0, trials: int = 200) -> list[TheoremReport]:
     """The reports of the claims in ``ids``, in that order; the module docstring says how they run.
 
     Every id, ``trials`` (1 to ``MAX_TRIALS``) and ``seed`` are checked before any claim runs.
@@ -760,6 +760,7 @@ def run_claims(ids: list[str], seed: int = 0, trials: int = 200) -> list[Theorem
     """
     if isinstance(ids, str):  # its characters would read as ids
         raise ValueError(f"ids must be a list of claim ids, got {ids!r}")
+    ids = list(ids)  # read more than once below, and an iterator only once
     for name, value in (("seed", seed), ("trials", trials)):
         if type(value) is not int:  # bools too; a float would fail inside _draws, perhaps in a child
             raise ValueError(f"{name} must be an int, got {value!r}")

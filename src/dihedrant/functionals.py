@@ -15,7 +15,7 @@
   certified in integers (:mod:`dihedrant.modular`).
 
 ``dihedrant`` and ``elimination_det`` run on the integer rows each matrix
-clears once and keeps, through the package's one signed-product loop and
+clears as it is built, through the package's one signed-product loop and
 its one elimination kernel.  ``leibniz_det`` shares only the signed-product
 loop: it reads the stored entries (ints, and Fractions where an entry is not
 an integer) as they are and never touches the clearing step or the

@@ -1,18 +1,20 @@
 """Square matrices over the exact rationals.
 
-Entries are stored as given when they are ``int``s; every other exact value
-becomes a ``fractions.Fraction`` (reduced form, positive denominator), and
-a Fraction with denominator 1 is stored as its int, so equal matrices have
-equal grids.  ``rows`` and ``entry`` still hand out ``Fraction``s.  Matrices
-are immutable; every operation returns a new value.  Addressing is 1-based
-to match the one-line permutation convention in :mod:`dihedrant.perm`.
+``ExactMatrix``'s constructor alone turns values into entries, in one pass
+per row: it checks and parses each value, naming a bad one by row and column,
+and clears the row to integers.  ``int``s are stored as given; every other
+exact value becomes a ``fractions.Fraction`` (reduced form, positive
+denominator), and a Fraction with denominator 1 is stored as its int, so
+equal matrices have equal grids.  ``rows`` and ``entry`` still hand out
+``Fraction``s.  Matrices are immutable; every operation returns a new value.
+Addressing is 1-based, as in the one-line permutations of :mod:`dihedrant.perm`.
 
 Floats are rejected at construction: every identity this package checks is
 exact, and a silently binary-rounded entry would poison all of them.
 
 The module also holds the package's one exact-integer layer, which every
-functional, scheme and search runs on: ``ExactMatrix._cleared`` turns a
-matrix's rows into integer rows once, ``signed_product_sum`` is the one
+functional, scheme and search runs on: ``ExactMatrix._cleared`` returns the
+integer rows built at construction, ``signed_product_sum`` is the one
 loop over signed permutation products, and ``integer_det`` and
 ``integer_rank`` each certify what they return.  Below order
 ``MODULAR_ORDER`` both run the fraction-free (Bareiss) loop.  From it on they
@@ -43,6 +45,7 @@ _ENTRY_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 _brief = _Brief()
 _brief.maxlevel = 1
 _INT = {int}
+_STR = {str}
 _NOT_ROWS = (str, bytes, bytearray, dict, set, frozenset)  # iterable, but not an ordered row
 
 
@@ -65,11 +68,15 @@ def _parse(text: str) -> int | Fraction:
     if not _ENTRY_RE.fullmatch(value):
         raise MatrixFormatError(f"not an integer or p/q value: {_brief.repr(text)}")
     try:
-        return int(value) if "/" not in value else _exact(Fraction(value))
+        if "/" not in value:
+            return int(value)
+        p, q = value.split("/")
+        value = Fraction(int(p), int(q))  # from the two ints: Fraction(str) would run a second regex
     except ZeroDivisionError:
         raise MatrixFormatError(f"zero denominator: {_brief.repr(text)}") from None
     except ValueError as exc:  # more digits than sys.get_int_max_str_digits() allows
         raise MatrixFormatError(str(exc)) from None
+    return value.numerator if value.denominator == 1 else value
 
 
 def _exact(value) -> int | Fraction:
@@ -101,12 +108,29 @@ class ExactMatrix:
     def __init__(self, rows: Iterable[Iterable]) -> None:
         if _not_a_row(rows):
             raise ValueError(f"rows must be a sequence of rows, not a {type(rows).__name__}")
-        grid = []
+        grid, ints, scales = [], [], 1
         for i, row in enumerate(rows, start=1):
             if _not_a_row(row):
                 raise ValueError(f"row {i} is a {type(row).__name__}, not a sequence of entries")
             row = tuple(row)
-            grid.append(row if {*map(type, row)} == _INT else tuple(map(_exact, row)))
+            kinds = {*map(type, row)}
+            if kinds != _INT:
+                try:
+                    row = tuple(map(_parse if kinds == _STR else _exact, row))  # strs skip _exact's frame
+                except ValueError:  # checked alone, the first bad entry fails again and names its column
+                    for j, entry in enumerate(row, start=1):
+                        try:
+                            _exact(entry)
+                        except ValueError as exc:
+                            raise type(exc)(f"row {i}, column {j}: {exc}") from None
+                    raise
+                kinds = {*map(type, row)}
+            grid.append(row)
+            if kinds != _INT:  # a Fraction among the entries
+                scale = math.lcm(*(e.denominator for e in row))
+                scales *= scale
+                row = tuple(e.numerator * (scale // e.denominator) for e in row)
+            ints.append(row)
         n = len(grid)
         if n < 1:
             raise ValueError("matrix must have at least one row")
@@ -114,7 +138,7 @@ class ExactMatrix:
             if len(row) != n:
                 raise ValueError(f"row {i} has {len(row)} entries, expected {n} (matrix must be square)")
         self._grid = tuple(grid)
-        self._int_rows = None
+        self._int_rows = tuple(ints), scales
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
@@ -130,8 +154,8 @@ class ExactMatrix:
 
     def entry(self, i: int, j: int) -> Fraction:
         """Entry in row i, column j, 1-based."""
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise ValueError(f"position ({i},{j}) outside 1..{self.n}")
+        if not (type(i) is type(j) is int and 1 <= i <= self.n and 1 <= j <= self.n):  # no floats, no bools
+            raise ValueError(f"position ({i!r},{j!r}) is not two ints in 1..{self.n}")
         return Fraction(self._grid[i - 1][j - 1])
 
     def __eq__(self, other) -> bool:
@@ -163,8 +187,8 @@ class ExactMatrix:
 
     def linear_combination_row(self, j: int, alpha, beta, b: Sequence) -> "ExactMatrix":
         """Replace row j by alpha*(row j) + beta*b, other rows unchanged."""
-        if not 1 <= j <= self.n:
-            raise ValueError(f"row {j} outside 1..{self.n}")
+        if not (type(j) is int and 1 <= j <= self.n):  # a float fails as an index, True would replace row 1
+            raise ValueError(f"row {j!r} is not an int in 1..{self.n}")
         if _not_a_row(b):
             raise ValueError(f"replacement row is a {type(b).__name__}, not a sequence of entries")
         vec = tuple(map(_exact, b))
@@ -185,18 +209,9 @@ class ExactMatrix:
 
         The dihedrant, the determinant and every scheme are linear in each row, so their
         value is their value on these integer rows divided by the product; rank does not
-        change.  Computed once; the rows are tuples, and nothing writes to them.
+        change.  Built by the constructor as it checks each row; the rows are tuples (an
+        integer row is the stored row itself), and nothing writes to them.
         """
-        if self._int_rows is None:
-            ints = []
-            scales = 1
-            for row in self._grid:
-                if {*map(type, row)} != _INT:
-                    scale = math.lcm(*(e.denominator for e in row))
-                    scales *= scale
-                    row = tuple(e.numerator * (scale // e.denominator) for e in row)
-                ints.append(row)
-            self._int_rows = tuple(ints), scales
         return self._int_rows
 
     def _check_perm(self, sigma: Permutation) -> None:

@@ -5,10 +5,10 @@ Two hand-authorable formats:
 * JSON: an array of arrays; each entry is an integer or a string "p/q".
 * CSV: one row per line; each cell is an integer or p/q.
 
-JSON entries and CSV cells go through the checks ``ExactMatrix`` applies
-itself, with the one strict scalar parser of :mod:`dihedrant.matrix` (no
-floats, no booleans, no scientific notation, no zero denominators); integer
-entries stay ``int``, and parse errors name the offending row and column.
+A decoded JSON array and the non-blank rows of ``csv.reader`` go to
+``ExactMatrix`` as they are; its one pass per row checks, parses and clears
+each entry with the one strict scalar parser (no floats, booleans, scientific
+notation or zero denominators), and names a bad entry's row and column.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from .matrix import ExactMatrix, MatrixFormatError, _exact, _parse, parse_scalar
+from .matrix import ExactMatrix, MatrixFormatError, parse_scalar
 
 _SUFFIX_FORMATS = {".json": "json", ".csv": "csv"}
 
@@ -40,19 +40,7 @@ def matrix_from_obj(obj) -> ExactMatrix:
     """Build a matrix from decoded JSON (list of lists of int or 'p/q')."""
     if not isinstance(obj, list) or not obj:
         raise MatrixFormatError("document must be a non-empty array of rows")
-    rows = []
-    for i, row in enumerate(obj, start=1):
-        if not isinstance(row, list):
-            raise MatrixFormatError(f"row {i} is not an array")
-        rows.append([_entry_from_obj(e, i, j) for j, e in enumerate(row, start=1)])
-    return _to_square_matrix(rows)
-
-
-def _entry_from_obj(e, i: int, j: int) -> int | Fraction:
-    try:
-        return _exact(e)
-    except ValueError as exc:
-        raise MatrixFormatError(f"row {i}, column {j}: {exc}") from None
+    return _to_square_matrix(obj)
 
 
 def parse_matrix_json(text: str) -> ExactMatrix:
@@ -70,21 +58,13 @@ def parse_matrix_csv(text: str) -> ExactMatrix:
         records = list(csv.reader(io.StringIO(text)))
     except csv.Error as exc:
         raise MatrixFormatError(f"invalid CSV: {exc}") from None
-    rows = []
-    for i, cells in enumerate(filter(None, records), start=1):  # blank lines are no rows
-        row = []
-        for j, cell in enumerate(cells, start=1):
-            try:
-                row.append(_parse(cell))
-            except MatrixFormatError as exc:
-                raise MatrixFormatError(f"row {i}, column {j}: {exc}") from None
-        rows.append(row)
+    rows = list(filter(None, records))  # blank lines are no rows
     if not rows:
         raise MatrixFormatError("no rows found")
     return _to_square_matrix(rows)
 
 
-def _to_square_matrix(rows: list[list[int | Fraction]]) -> ExactMatrix:
+def _to_square_matrix(rows: list) -> ExactMatrix:
     try:
         return ExactMatrix(rows)
     except ValueError as exc:

@@ -775,6 +775,12 @@ def test_run_claims_reports_as_each_claim_run_alone(forks):
     assert reports == [report for claim_id in ids for report in run_claim(claim_id, seed=11, trials=5)]
 
 
+@pytest.mark.parametrize("wrap", [iter, tuple])
+def test_run_claims_takes_any_iterable_of_ids(wrap):
+    ids = ["eq:n3", "thm:AT", "eq:n3"]
+    assert run_claims(wrap(ids), seed=3, trials=2) == run_claims(ids, seed=3, trials=2)
+
+
 @pytest.mark.parametrize("claims, forked", [(2, True), (256, True), (257, True)])
 def test_the_claim_queue_forks_up_to_one_byte_of_positions(monkeypatch, forks, claims, forked):
     patched = dict(CLAIMS)

@@ -277,7 +277,7 @@ def test_functionals_on_an_int_matrix_build_only_their_value(fractions_built):
     A = ExactMatrix([[1, 0, 0, -1], [1, -3, 0, -3], [1, 1, 5, 5], [0, 0, 0, 1]])
     dihedrant(A)  # the D_4 terms are built once per order
     for functional, built, expected in ((dihedrant, 1, -15), (elimination_det, 1, -15), (ExactMatrix.rank, 0, 4)):
-        fresh = ExactMatrix(A._grid)  # its integer rows not yet cleared
+        fresh = ExactMatrix(A._grid)  # a new matrix, whose integer rows its constructor cleared
         fractions_built.clear()
         value = functional(fresh)
         assert len(fractions_built) == built and value == expected

@@ -5,6 +5,7 @@ import functools
 import math
 import operator
 import os
+import re
 import subprocess
 import sys
 from array import array
@@ -74,21 +75,25 @@ def test_one_strict_scalar_parser(bad):
         ExactMatrix([[bad]])
 
 
-@pytest.mark.parametrize("bad", [[10**5000], (-(10**5000),), {10**5000: 1}])
-def test_rejected_big_ints_are_described_without_conversion(int_digit_limit, bad):
+@pytest.mark.parametrize(
+    "bad, shown",
+    [pytest.param([10**5000], "[<int of 16610 bits>]", id="bad0"),
+     pytest.param((-(10**5000),), "(<int of 16610 bits>,)", id="bad1"),
+     pytest.param({10**5000: 1}, "{<int of 16610 bits>: 1}", id="bad2")],
+)
+def test_rejected_big_ints_are_described_without_conversion(int_digit_limit, bad, shown):
     # under the default limit, str() of a 5,000-digit int raises; the message must not try it
     with pytest.raises(ValueError) as info:
-        ExactMatrix([[bad]])
-    message = str(info.value)
-    assert message.startswith("entries must be exact") and len(message) <= 200
-    assert "bits>" in message
+        ExactMatrix([[1, 2], [3, bad]])
+    assert str(info.value) == f"row 2, column 2: entries must be exact (int, Fraction, or 'p/q'), got {shown}"
 
 
 def test_rejected_short_values_print_as_before():
     with pytest.raises(ValueError) as info:
         ExactMatrix([[[3, 10**50]]])
     assert str(info.value) == (
-        "entries must be exact (int, Fraction, or 'p/q'), got [3, 100000000000000000...0000000000000000000]"
+        "row 1, column 1: entries must be exact (int, Fraction, or 'p/q'), "
+        "got [3, 100000000000000000...0000000000000000000]"
     )
 
 
@@ -125,6 +130,13 @@ def test_entry_access_is_one_based():
         A.entry(0, 1)
     with pytest.raises(ValueError):
         A.entry(1, 3)
+
+
+@pytest.mark.parametrize("i, j", [(1, 1.0), (1.0, 2), (True, 1), (1, False), ("1", 1), (None, 1)], ids=repr)
+def test_entry_positions_must_be_ints(i, j):
+    # 1.0 passes the range check and fails as an index; True reads as row 1, False as column 0
+    with pytest.raises(ValueError, match=r"is not two ints in 1\.\.2"):
+        ExactMatrix([[1, 2], [3, 4]]).entry(i, j)
 
 
 def test_equality_and_hash():
@@ -301,6 +313,13 @@ def test_linear_combination_row_errors():
         A.linear_combination_row(0, 1, 1, (1, 1, 1))
     with pytest.raises(ValueError):
         A.linear_combination_row(1, 1, 1, (1, 1))
+
+
+@pytest.mark.parametrize("j", [1.0, True, False, "1", None], ids=repr)
+def test_linear_combination_row_rejects_a_row_number_that_is_no_int(j):
+    # 1.0 passes the range check and fails as an index; True would replace row 1
+    with pytest.raises(ValueError, match=re.escape(f"row {j!r} is not an int in 1..2")):
+        ExactMatrix.identity(2).linear_combination_row(j, 1, 1, (5, 5))
 
 
 @pytest.mark.parametrize("b, kind", [("12", "str"), (5, "int"), (b"\x01\x02", "bytes"), ({1: 0, 2: 0}, "dict")])

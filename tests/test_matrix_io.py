@@ -2,6 +2,8 @@
 
 import csv
 import io
+import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -70,6 +72,18 @@ def test_json_errors_name_the_position():
         parse_matrix_json("[[1, 2.5], [3, 4]]")
     with pytest.raises(MatrixFormatError, match="row 1, column 1"):
         parse_matrix_json("[[true]]")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [('[[1, 2], "34"]', "row 2 is a str"), ("[[1, 2], 3]", "row 2 is a int"),
+     ('[{"1": 2}, [3, 4]]', "row 1 is a dict"), ("[[1, 2], null]", "row 2 is a NoneType"),
+     ("[true, [3, 4]]", "row 1 is a bool")],
+)
+def test_a_json_row_that_is_no_array_is_named(text, message):
+    with pytest.raises(MatrixFormatError) as raised:
+        parse_matrix_json(text)
+    assert str(raised.value) == f"{message}, not a sequence of entries"
 
 
 def test_json_structural_errors():
@@ -164,3 +178,41 @@ def test_load_matrix_names_entries_past_the_int_digit_limit(tmp_path, int_digit_
     with pytest.raises(MatrixFormatError, match=f"^{where}: .*4300 digits") as raised:
         load_matrix(path)
     assert raised.value.__cause__ is None and raised.value.__suppress_context__
+
+
+# digits, signs, the slash, ASCII and Unicode whitespace, letters, and two characters that int() reads
+# but the parser must not ("_" and an Arabic-Indic three); no comma, quote, CR or LF, which CSV reads itself
+CELL_CHARACTERS = "0123456789+-/ \t\u00a0aeExz_\u0663"
+
+
+@given(st.text(CELL_CHARACTERS, max_size=10))
+def test_both_loaders_accept_a_cell_exactly_as_parse_scalar_does(cell):
+    try:
+        expected = parse_scalar(cell)
+    except MatrixFormatError as exc:
+        expected = f"row 1, column 1: {exc}"
+    loads = [json.dumps([[cell]])] + ([cell] if cell else [])  # an empty CSV line is no row
+    for parse, text in zip((parse_matrix_json, parse_matrix_csv), loads):
+        try:
+            got = parse(text).entry(1, 1)
+        except MatrixFormatError as exc:
+            got = str(exc)
+        assert got == expected
+
+
+def test_each_cell_of_a_json_document_is_checked_once():
+    rows = [[1, "1/2", "-3"], ["2/3", 4, " 5/6 "], ["7", "8/9", 0]]  # every row mixes ints and strings
+    # counted by code object, so a caller that imported a function by name is counted too
+    calls = {matrix._exact.__code__: 0, matrix._parse.__code__: 0}
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code in calls:
+            calls[frame.f_code] += 1
+
+    sys.setprofile(count)
+    try:
+        A = parse_matrix_json(json.dumps(rows))
+    finally:
+        sys.setprofile(None)
+    assert list(calls.values()) == [9, 6]  # each cell through _exact once, each string through _parse once
+    assert A == ExactMatrix([[1, Fraction(1, 2), -3], [Fraction(2, 3), 4, Fraction(5, 6)], [7, Fraction(8, 9), 0]])
