@@ -16,11 +16,15 @@
 
 ``dihedrant`` and ``elimination_det`` run on the integer rows each matrix
 clears as it is built, through the package's one signed-product loop and
-its one elimination kernel.  ``leibniz_det`` shares only the signed-product
-loop: it reads the stored entries (ints, and Fractions where an entry is not
-an integer) as they are and never touches the clearing step or the
-elimination kernel, so comparing it with ``elimination_det`` compares two
-independent routes.
+its one elimination kernel.  ``leibniz_det`` shares the signed-product loop
+and never touches the elimination kernel: it reads the grid of entries (ints,
+and Fractions where an entry is not an integer).  For rows given as ints or
+Fractions those are the values as given, and the clearing step is not on its
+route.  For a row parsed from p/q strings the grid is rebuilt from the
+cleared row and its scale, so there both routes share the parse; the tests
+``test_both_loaders_accept_a_cell_exactly_as_parse_scalar_does`` and
+``test_every_form_reads_as_the_matrix_of_its_parsed_cells`` pin that parse
+against ``parse_scalar``, cell by cell.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ def dihedrant(A: ExactMatrix) -> Fraction:
 def leibniz_det(A: ExactMatrix) -> Fraction:
     """Determinant by brute-force expansion over all of S_n.
 
-    The products run on the stored entries, plain ints wherever an entry
+    The products run on the grid of entries, plain ints wherever an entry
     is an integer.  Raises ResourceLimitError above the symmetric-group cap.
     """
     return Fraction(signed_product_sum(A._grid, symmetric_terms(A.n)))

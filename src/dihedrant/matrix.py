@@ -2,10 +2,13 @@
 
 ``ExactMatrix``'s constructor alone turns values into entries, in one pass
 per row: it checks and parses each value, naming a bad one by row and column,
-and clears the row to integers.  ``int``s are stored as given; every other
-exact value becomes a ``fractions.Fraction`` (reduced form, positive
-denominator), and a Fraction with denominator 1 is stored as its int, so
-equal matrices have equal grids.  ``rows`` and ``entry`` still hand out
+and clears the row to integers, scaled by the lcm of its denominators.  A row
+of strs, as both loaders hand rows over, is cleared straight from the
+grammar's (p, q) pairs, with no ``Fraction`` per cell.  Other rows keep their
+values as entries: ``int``s, and reduced ``fractions.Fraction``s where a value
+is not an integer.  A parsed p/q row's entries are rebuilt from its cleared
+row on first use.  The cleared rows and per-row scales are canonical, so
+equality and hashing compare them.  ``rows`` and ``entry`` hand out
 ``Fraction``s.  Matrices are immutable; every operation returns a new value.
 Addressing is 1-based, as in the one-line permutations of :mod:`dihedrant.perm`.
 
@@ -41,7 +44,11 @@ class _Brief(reprlib.Repr):
         return super().repr_int(x, level) if x.bit_length() <= 2000 else f"<int of {x.bit_length()} bits>"
 
 
-_ENTRY_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+# The one grammar: an ASCII integer or p/q.  \s is exactly the characters for which str.isspace() holds,
+# so the surrounding whitespace is what str.strip() would remove.
+_INTEGER = r"\s*([+-]?[0-9]+)"
+_ENTRY_RE = re.compile(_INTEGER + r"(?:/([0-9]+))?\s*")
+_INT_RE = re.compile(_INTEGER + r"\s*")
 _brief = _Brief()
 _brief.maxlevel = 1
 _INT = {int}
@@ -64,14 +71,14 @@ class MatrixFormatError(ValueError):
 
 def _parse(text: str) -> int | Fraction:
     """The one strict parser: an ASCII integer or 'p/q', surrounding whitespace allowed."""
-    value = text.strip()
-    if not _ENTRY_RE.fullmatch(value):
+    match = _ENTRY_RE.fullmatch(text)
+    if match is None:
         raise MatrixFormatError(f"not an integer or p/q value: {_brief.repr(text)}")
+    p, q = match.groups()
     try:
-        if "/" not in value:
-            return int(value)
-        p, q = value.split("/")
-        value = Fraction(int(p), int(q))  # from the two ints: Fraction(str) would run a second regex
+        if q is None:
+            return int(p)
+        value = Fraction(int(p), int(q))
     except ZeroDivisionError:
         raise MatrixFormatError(f"zero denominator: {_brief.repr(text)}") from None
     except ValueError as exc:  # more digits than sys.get_int_max_str_digits() allows
@@ -93,6 +100,46 @@ def _exact(value) -> int | Fraction:
     return value.numerator if value.denominator == 1 else value
 
 
+def _exact_row(row: tuple, i: int) -> tuple[int | Fraction, ...]:
+    """Row i's values as stored entries; the first bad one is named by its row and column."""
+    try:
+        return tuple(map(_exact, row))
+    except ValueError:  # checked alone, the first bad entry fails again and names its column
+        for j, entry in enumerate(row, start=1):
+            try:
+                _exact(entry)
+            except ValueError as exc:
+                raise type(exc)(f"row {i}, column {j}: {exc}") from None
+        raise
+
+
+def _parsed_row(cells: tuple[str, ...]) -> tuple[tuple[int, ...], int] | None:
+    """A row of strs cleared to integers, and its scale, straight from the grammar's (p, q) pairs.
+
+    None where a cell fails (no match, a zero denominator, more digits than int() reads) or int()
+    refuses the whitespace around a cell; ``_exact_row`` then reads the row cell by cell with
+    ``_parse``, which parses the groups alone and names a bad cell.
+    """
+    try:
+        if all(map(_INT_RE.fullmatch, cells)):
+            return tuple(map(int, cells)), 1
+        nums, dens = [], []
+        for match in map(_ENTRY_RE.fullmatch, cells):
+            if match is None:
+                return None
+            p, q = match.groups()
+            p, q = int(p), 1 if q is None else int(q)
+            if not q:
+                return None
+            g = math.gcd(p, q)
+            nums.append(p // g)
+            dens.append(q // g)
+    except ValueError:  # more digits than int() reads, or int() refusing U+001C..U+001F, which \s matches
+        return None
+    scale = math.lcm(*dens)
+    return tuple(p * (scale // q) for p, q in zip(nums, dens)), scale
+
+
 def parse_scalar(text: str) -> Fraction:
     """Parse an ASCII integer or 'p/q' string, surrounding whitespace allowed; reject the rest."""
     if not isinstance(text, str):
@@ -103,50 +150,57 @@ def parse_scalar(text: str) -> Fraction:
 class ExactMatrix:
     """An immutable n x n matrix of exact rationals."""
 
-    __slots__ = ("_grid", "_int_rows")
+    __slots__ = ("_cells", "_int_rows", "_scales")
 
     def __init__(self, rows: Iterable[Iterable]) -> None:
         if _not_a_row(rows):
             raise ValueError(f"rows must be a sequence of rows, not a {type(rows).__name__}")
-        grid, ints, scales = [], [], 1
+        grid, ints, scales = [], [], []
         for i, row in enumerate(rows, start=1):
             if _not_a_row(row):
                 raise ValueError(f"row {i} is a {type(row).__name__}, not a sequence of entries")
             row = tuple(row)
             kinds = {*map(type, row)}
-            if kinds != _INT:
-                try:
-                    row = tuple(map(_parse if kinds == _STR else _exact, row))  # strs skip _exact's frame
-                except ValueError:  # checked alone, the first bad entry fails again and names its column
-                    for j, entry in enumerate(row, start=1):
-                        try:
-                            _exact(entry)
-                        except ValueError as exc:
-                            raise type(exc)(f"row {i}, column {j}: {exc}") from None
-                    raise
-                kinds = {*map(type, row)}
+            if kinds == _INT:
+                cleared, scale = row, 1
+            elif kinds == _STR and (parsed := _parsed_row(row)):
+                cleared, scale = parsed
+                row = cleared if scale == 1 else None  # a p/q row's entries wait for _grid
+            else:
+                row = _exact_row(row, i)
+                scale = math.lcm(*(e.denominator for e in row))  # 1 when every entry is an int
+                cleared = row if scale == 1 else tuple(e.numerator * (scale // e.denominator) for e in row)
             grid.append(row)
-            if kinds != _INT:  # a Fraction among the entries
-                scale = math.lcm(*(e.denominator for e in row))
-                scales *= scale
-                row = tuple(e.numerator * (scale // e.denominator) for e in row)
-            ints.append(row)
-        n = len(grid)
+            ints.append(cleared)
+            scales.append(scale)
+        n = len(ints)
         if n < 1:
             raise ValueError("matrix must have at least one row")
-        for i, row in enumerate(grid, start=1):
+        for i, row in enumerate(ints, start=1):
             if len(row) != n:
                 raise ValueError(f"row {i} has {len(row)} entries, expected {n} (matrix must be square)")
-        self._grid = tuple(grid)
-        self._int_rows = tuple(ints), scales
+        self._cells = None if None in grid else tuple(grid)
+        self._int_rows = tuple(ints), math.prod(scales)
+        self._scales = tuple(scales)
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @property
+    def _grid(self) -> tuple[tuple[int | Fraction, ...], ...]:
+        """The entries: ints, and Fractions where an entry is not an integer; built on first use
+        from the cleared rows where the constructor parsed a p/q row, kept as given otherwise."""
+        if self._cells is None:
+            self._cells = tuple(
+                row if scale == 1 else tuple(e // scale if e % scale == 0 else Fraction(e, scale) for e in row)
+                for row, scale in zip(self._int_rows[0], self._scales)
+            )
+        return self._cells
+
+    @property
     def n(self) -> int:
-        return len(self._grid)
+        return len(self._scales)
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -161,10 +215,10 @@ class ExactMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self._grid == other._grid
+        return self._scales == other._scales and self._int_rows == other._int_rows  # both canonical
 
     def __hash__(self) -> int:
-        return hash(self._grid)
+        return hash(self._int_rows)
 
     def __repr__(self) -> str:
         body = ", ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self._grid)

@@ -68,6 +68,8 @@ class Permutation:
         return len(self.images)
 
     def __call__(self, i: int) -> int:
+        if type(i) is not int:  # 1.0 fails as an index, True would read as point 1
+            raise ValueError(f"point {i!r} is not an int")
         if not 1 <= i <= self.n:
             raise ValueError(f"point {i} outside 1..{self.n}")
         return self.images[i - 1]

@@ -2,6 +2,7 @@
 
 import ast
 import functools
+import json
 import math
 import operator
 import os
@@ -27,7 +28,7 @@ from dihedrant.matrix import (
 )
 from dihedrant.perm import Permutation, compose, dihedral_group, rotation_perm, sgn, sig
 
-from dihedrant.functionals import dihedrant, elimination_det
+from dihedrant.functionals import dihedrant, elimination_det, leibniz_det
 from dihedrant.matrix_io import load_matrix
 from dihedrant.schemes import false_sarrus_scheme
 
@@ -210,6 +211,85 @@ def test_the_cleared_rows_are_kept_and_never_mutated():
     assert cleared == (((0, 1, 2), (6, 1, 3), (4, 1, 2)), 6)
     assert (integer_rank(cleared[0]), integer_det(cleared[0])) == (3, 4)  # both only read the rows
     assert A._cleared() is cleared and cleared == (((0, 1, 2), (6, 1, 3), (4, 1, 2)), 6)
+
+
+# Each form of a matrix, as ExactMatrix takes it.  A row of strs is cleared straight from its cells;
+# "2/4" is unreduced, "6/3" is the int 2, "-0/5" is 0, and U+00A0 is whitespace as str.strip() reads it.
+# int() refuses U+001C..U+001F around a cell, which str.strip() removes: those rows are read cell by cell.
+MATRIX_FORMS = {
+    "int rows": [[1, -2, 0], [3, 5, -7], [0, 4, 9]],
+    "Fraction rows": [[Fraction(1, 2), Fraction(2), Fraction(-3, 4)], [Fraction(5, 6), 0, Fraction(1, 3)],
+                      [Fraction(-7), Fraction(8, 9), Fraction(1, 1)]],
+    "str integer rows": [[" 1", "+2", "-3\u00a0"], ["0", "-0", "17"], ["\t4 ", "5", "-6"]],
+    "str p/q rows": [["2/4", "6/3", "-0/5"], ["+3/1", "\u00a0-7/21\t", " 5 "], ["1/3", "-2/6", "4/12"]],
+    "mixed rows": [[1, "1/2", Fraction(2, 3)], ["6/3", 4, Fraction(-5, 10)], [Fraction(3), " -1/4 ", "7"]],
+    "str rows with U+001C..U+001F": [["\x1c1", "2\x1f", "3"], ["4", "\x1d-5/2", "6"], ["7", "8", "9\x1e"]],
+}
+
+
+def parse_scalar_matrix(rows) -> ExactMatrix:
+    """The reference: every cell through parse_scalar or Fraction first."""
+    return ExactMatrix([[parse_scalar(e) if isinstance(e, str) else Fraction(e) for e in row] for row in rows])
+
+
+@pytest.mark.parametrize("form", MATRIX_FORMS)
+def test_every_form_reads_as_the_matrix_of_its_parsed_cells(form):
+    rows = MATRIX_FORMS[form]
+    A, B = ExactMatrix(rows), parse_scalar_matrix(rows)
+    assert A == B and hash(A) == hash(B) and A._cleared() == B._cleared()
+    assert (A._cells is None) == ("str" in form and "integer" not in form)  # a p/q str row waits for _grid
+    assert A.rows == B.rows and repr(A) == repr(B)
+    assert [[type(e) for e in row] for row in A._grid] == [[type(e) for e in row] for row in B._grid]
+    assert all(A.entry(i, j) == B.entry(i, j) for i in range(1, 4) for j in range(1, 4))
+    sigma = Permutation((2, 3, 1))
+    for op in (ExactMatrix.transpose, lambda M: M.permute_rows(sigma), lambda M: M.permute_columns(sigma),
+               lambda M: M.linear_combination_row(2, Fraction(1, 3), "-2", ["1/2", 3, Fraction(5, 7)])):
+        assert op(A).rows == op(B).rows and op(A) == op(B)
+    assert leibniz_det(A) == leibniz_det(B) == elimination_det(A) == gauss_det(B.rows)
+
+
+def test_equal_matrices_in_different_forms_are_equal_and_hash_alike():
+    halves = [ExactMatrix([[Fraction(1, 2), 1], [0, Fraction(-3, 2)]]),
+              ExactMatrix([["2/4", "3/3"], ["-0/5", " -6/4\u00a0"]]),
+              ExactMatrix([["1/2", 1], [Fraction(0), "-3/2"]]),
+              ExactMatrix([[" +1/2", "1"], ["0", "-3/2"]])]
+    ints = [ExactMatrix([[2, 0], [-1, 3]]),
+            ExactMatrix([["6/3", "0/7"], ["-1", "+3/1"]]),
+            ExactMatrix([[Fraction(2), 0], ["-2/2", " 3"]])]
+    for group in (halves, ints):
+        assert all(M == group[0] and hash(M) == hash(group[0]) for M in group)
+    assert all(M != N for M in halves for N in ints)
+    # the same cleared integers under other scales are another matrix
+    assert ExactMatrix([["1/2", "1/2"], [1, 1]]) != ExactMatrix([[1, 1], ["1/2", "1/2"]])
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+def test_a_loaded_pq_matrix_is_ranked_and_evaluated_without_fractions_or_its_grid(tmp_path, fractions_built, suffix):
+    cells = [["1/2", "-2/3", "3/4", "5"], ["4/6", "-5", "6/7", "0/3"], ["7/8", "8/9", "-9/10", "1/11"],
+             ["2/4", "-6/9", "9/12", "15/3"]]  # row 4 is row 1: rank 3, determinant 0
+    path = tmp_path / f"pq{suffix}"
+    path.write_text(json.dumps(cells) if suffix == ".json" else "\n".join(map(",".join, cells)), encoding="utf-8")
+    A = load_matrix(path)
+    assert A.rank() == 3 and not fractions_built
+    assert dihedrant(A) == dihedrant(parse_scalar_matrix(cells)) and elimination_det(A) == 0
+    fractions_built.clear()
+    dihedrant(A), elimination_det(A)
+    assert len(fractions_built) == 2  # the two results, and no entry
+    assert A._cells is None
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [(["1/2", "0/0"], "row 1, column 2: zero denominator: '0/0'"),
+     (["4", "-1/0"], "row 1, column 2: zero denominator: '-1/0'"),
+     (["1/2", "1/2/3"], "row 1, column 2: not an integer or p/q value: '1/2/3'"),
+     (["1", "1_0"], "row 1, column 2: not an integer or p/q value: '1_0'"),
+     (["\u0663", "1/2"], "row 1, column 1: not an integer or p/q value: '\u0663'")],
+)
+def test_a_str_row_that_fails_is_named_by_the_per_cell_check(cells, message):
+    with pytest.raises(MatrixFormatError) as info:
+        ExactMatrix([cells, ["1", "2"]])
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------

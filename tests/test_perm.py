@@ -1,6 +1,7 @@
 """Permutations, the dihedral group, and the two sign characters."""
 
 import itertools
+import re
 from random import Random
 
 import pytest
@@ -54,10 +55,17 @@ def test_permutation_stores_its_images_as_a_tuple():
 def test_permutation_is_one_based():
     s = Permutation((3, 1, 2))
     assert s(1) == 3 and s(2) == 1 and s(3) == 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^point 0 outside 1\.\.3$"):
         s(0)
     with pytest.raises(ValueError):
         s(4)
+
+
+@pytest.mark.parametrize("point", [1.0, True, "1", None], ids=repr)
+def test_a_point_must_be_an_int(point):
+    # 1.0 passes the range check and fails as an index; True reads as point 1
+    with pytest.raises(ValueError, match=rf"^point {re.escape(repr(point))} is not an int$"):
+        Permutation((2, 1))(point)
 
 
 def test_mod1_wraps_into_range():
