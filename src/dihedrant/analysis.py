@@ -112,6 +112,8 @@ class TheoremReport:
     observation: str | None = None
 
     def __post_init__(self) -> None:
+        if self.trials < 1:  # a claim checked on no case would read as a pass
+            raise ValueError(f"a report needs at least 1 trial, got {self.trials}")
         if not 0 <= self.failures <= self.trials:
             raise ValueError("failures must lie in 0..trials")
         if (self.failures > 0) != (self.witness is not None):
@@ -333,8 +335,8 @@ def check_rank_one(seed: int = 0, trials: int = 200) -> TheoremReport:
 
 
 def check_equal_rows(seed: int = 0, trials: int = 200, odd_rows: int = 1) -> TheoremReport:
-    if odd_rows not in (1, 2):
-        raise ValueError("odd_rows must be 1 or 2")
+    if type(odd_rows) is not int or odd_rows not in (1, 2):  # True == 1 would name the claim thm:rowsTrue
+        raise ValueError(f"odd_rows must be 1 or 2, got {odd_rows!r}")
     lo = 3 if odd_rows == 1 else 4
     samples = _draws(seed, trials, lambda rng: _equal_rows_matrix(rng, _ints(rng, 1, lo, 7)[0], odd_rows))
     return _dih_vanishes(f"thm:rows{odd_rows}", samples)

@@ -18,13 +18,15 @@
 clears as it is built, through the package's one signed-product loop and
 its one elimination kernel.  ``leibniz_det`` shares the signed-product loop
 and never touches the elimination kernel: it reads the grid of entries (ints,
-and Fractions where an entry is not an integer).  For rows given as ints or
-Fractions those are the values as given, and the clearing step is not on its
-route.  For a row parsed from p/q strings the grid is rebuilt from the
-cleared row and its scale, so there both routes share the parse; the tests
-``test_both_loaders_accept_a_cell_exactly_as_parse_scalar_does`` and
-``test_every_form_reads_as_the_matrix_of_its_parsed_cells`` pin that parse
-against ``parse_scalar``, cell by cell.
+and Fractions where an entry is not an integer), which a matrix rebuilds from
+the cleared rows and scales that are all it stores.  For a row given as ints
+those entries are the ints as given.  Elsewhere both routes share the one
+entry reader and the clearing step; the tests
+``test_both_loaders_accept_a_cell_exactly_as_parse_scalar_does``,
+``test_every_form_reads_as_the_matrix_of_its_parsed_cells`` and
+``test_scalar_strings_go_through_parse_scalar``, and CI's ``cells`` check on
+the 96x96 files, pin the rebuilt entries against ``parse_scalar`` and
+``Fraction``, cell by cell.
 """
 
 from __future__ import annotations

@@ -1,15 +1,14 @@
 """Square matrices over the exact rationals.
 
-``ExactMatrix``'s constructor alone turns values into entries, in one pass
-per row: it checks and parses each value, naming a bad one by row and column,
-and clears the row to integers, scaled by the lcm of its denominators.  A row
-of strs, as both loaders hand rows over, is cleared straight from the
-grammar's (p, q) pairs, with no ``Fraction`` per cell.  Other rows keep their
-values as entries: ``int``s, and reduced ``fractions.Fraction``s where a value
-is not an integer.  A parsed p/q row's entries are rebuilt from its cleared
-row on first use.  The cleared rows and per-row scales are canonical, so
-equality and hashing compare them.  ``rows`` and ``entry`` hand out
-``Fraction``s.  Matrices are immutable; every operation returns a new value.
+A matrix is stored in one form: its rows cleared to integers, each scaled by
+the lcm of its denominators, and those per-row scales.  The dihedrant, the
+determinant and every scheme are linear in each row, so this form is the whole
+matrix; it is canonical, so equality and hashing compare it.  ``ExactMatrix``'s
+constructor alone builds it, a row at a time, from the (numerator, denominator)
+pairs of ``_pair``, the one entry reader, and names a bad value by its row and
+column.  The entries (``int``s, and ``fractions.Fraction``s where an entry is
+not an integer) are rebuilt from it on first use; ``rows`` and ``entry`` hand
+out ``Fraction``s.  Matrices are immutable; every operation returns a new value.
 Addressing is 1-based, as in the one-line permutations of :mod:`dihedrant.perm`.
 
 Floats are rejected at construction: every identity this package checks is
@@ -69,82 +68,78 @@ class MatrixFormatError(ValueError):
     """A matrix entry, file or document that does not satisfy the format."""
 
 
-def _parse(text: str) -> int | Fraction:
-    """The one strict parser: an ASCII integer or 'p/q', surrounding whitespace allowed."""
-    match = _ENTRY_RE.fullmatch(text)
-    if match is None:
-        raise MatrixFormatError(f"not an integer or p/q value: {_brief.repr(text)}")
-    p, q = match.groups()
-    try:
-        if q is None:
-            return int(p)
-        value = Fraction(int(p), int(q))
-    except ZeroDivisionError:
-        raise MatrixFormatError(f"zero denominator: {_brief.repr(text)}") from None
-    except ValueError as exc:  # more digits than sys.get_int_max_str_digits() allows
-        raise MatrixFormatError(str(exc)) from None
-    return value.numerator if value.denominator == 1 else value
+def _pair(entry) -> tuple[int, int]:
+    """The one entry reader: an int, a Fraction, or a str in the one grammar, as a (numerator,
+    denominator) pair with a positive denominator; anything else raises, naming the value.
 
-
-def _exact(value) -> int | Fraction:
-    """An entry as ExactMatrix stores it: an int, or a Fraction that is not one."""
-    kind = type(value)
+    A p/q string's pair is as written, not reduced: ``_cleared_row`` divides out a whole
+    row's common factor at once, one gcd per row in place of one per cell.
+    """
+    kind = type(entry)
     if kind is int:
-        return value
-    if isinstance(value, str):
-        return _parse(value)
+        return entry, 1
+    if isinstance(entry, str):
+        match = _ENTRY_RE.fullmatch(entry)
+        if match is None:
+            raise MatrixFormatError(f"not an integer or p/q value: {_brief.repr(entry)}")
+        p, q = match.groups()
+        try:
+            p = int(p)
+            if q is None:
+                return p, 1
+            q = int(q)
+        except ValueError as exc:  # more digits than sys.get_int_max_str_digits() allows
+            raise MatrixFormatError(str(exc)) from None
+        if not q:
+            raise MatrixFormatError(f"zero denominator: {_brief.repr(entry)}")
+        return p, q
     if kind is not Fraction:
-        if not isinstance(value, (int, Fraction)) or isinstance(value, bool):
-            raise ValueError(f"entries must be exact (int, Fraction, or 'p/q'), got {_brief.repr(value)}")
-        value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
+        if not isinstance(entry, (int, Fraction)) or isinstance(entry, bool):
+            raise ValueError(f"entries must be exact (int, Fraction, or 'p/q'), got {_brief.repr(entry)}")
+        entry = Fraction(entry)
+    return entry.numerator, entry.denominator
 
 
-def _exact_row(row: tuple, i: int) -> tuple[int | Fraction, ...]:
-    """Row i's values as stored entries; the first bad one is named by its row and column."""
+def _cleared_row(row: tuple, i: int) -> tuple[tuple[int, ...], int]:
+    """Row i scaled to integers by the lcm of its denominators, and that scale.
+
+    A row of ints is its own cleared row, and a row of integer strings is read by ``int()``.
+    Any other row, or one where ``int()`` refuses a cell, is read cell by cell by ``_pair``;
+    when that fails, the cells are read again one at a time, so the first bad one is named
+    by its row and column.  Scaled by the lcm of the pairs' denominators, the row is divided
+    by its gcd with that lcm, which leaves the least scale whether or not each p/q was reduced.
+    """
+    kinds = {*map(type, row)}
+    if kinds == _INT:
+        return row, 1
+    if kinds == _STR and all(map(_INT_RE.fullmatch, row)):
+        try:
+            return tuple(map(int, row)), 1
+        except ValueError:  # the digit limit, or int() refusing U+001C..U+001F, which \s matches
+            pass
     try:
-        return tuple(map(_exact, row))
-    except ValueError:  # checked alone, the first bad entry fails again and names its column
+        pairs = tuple(map(_pair, row))
+    except ValueError:
         for j, entry in enumerate(row, start=1):
             try:
-                _exact(entry)
+                _pair(entry)
             except ValueError as exc:
                 raise type(exc)(f"row {i}, column {j}: {exc}") from None
         raise
-
-
-def _parsed_row(cells: tuple[str, ...]) -> tuple[tuple[int, ...], int] | None:
-    """A row of strs cleared to integers, and its scale, straight from the grammar's (p, q) pairs.
-
-    None where a cell fails (no match, a zero denominator, more digits than int() reads) or int()
-    refuses the whitespace around a cell; ``_exact_row`` then reads the row cell by cell with
-    ``_parse``, which parses the groups alone and names a bad cell.
-    """
-    try:
-        if all(map(_INT_RE.fullmatch, cells)):
-            return tuple(map(int, cells)), 1
-        nums, dens = [], []
-        for match in map(_ENTRY_RE.fullmatch, cells):
-            if match is None:
-                return None
-            p, q = match.groups()
-            p, q = int(p), 1 if q is None else int(q)
-            if not q:
-                return None
-            g = math.gcd(p, q)
-            nums.append(p // g)
-            dens.append(q // g)
-    except ValueError:  # more digits than int() reads, or int() refusing U+001C..U+001F, which \s matches
-        return None
-    scale = math.lcm(*dens)
-    return tuple(p * (scale // q) for p, q in zip(nums, dens)), scale
+    scale = math.lcm(*{q for _, q in pairs})  # of the distinct denominators: a few, where a row has many
+    cleared = [p * (scale // q) for p, q in pairs]
+    g = math.gcd(scale, *cleared)  # above 1 only where a p/q string is not in lowest terms
+    if g > 1:
+        scale //= g
+        cleared = [e // g for e in cleared]
+    return tuple(cleared), scale
 
 
 def parse_scalar(text: str) -> Fraction:
     """Parse an ASCII integer or 'p/q' string, surrounding whitespace allowed; reject the rest."""
     if not isinstance(text, str):
         raise MatrixFormatError(f"not a string: {_brief.repr(text)}")
-    return Fraction(_parse(text))
+    return Fraction(*_pair(text))
 
 
 class ExactMatrix:
@@ -155,22 +150,11 @@ class ExactMatrix:
     def __init__(self, rows: Iterable[Iterable]) -> None:
         if _not_a_row(rows):
             raise ValueError(f"rows must be a sequence of rows, not a {type(rows).__name__}")
-        grid, ints, scales = [], [], []
+        ints, scales = [], []
         for i, row in enumerate(rows, start=1):
             if _not_a_row(row):
                 raise ValueError(f"row {i} is a {type(row).__name__}, not a sequence of entries")
-            row = tuple(row)
-            kinds = {*map(type, row)}
-            if kinds == _INT:
-                cleared, scale = row, 1
-            elif kinds == _STR and (parsed := _parsed_row(row)):
-                cleared, scale = parsed
-                row = cleared if scale == 1 else None  # a p/q row's entries wait for _grid
-            else:
-                row = _exact_row(row, i)
-                scale = math.lcm(*(e.denominator for e in row))  # 1 when every entry is an int
-                cleared = row if scale == 1 else tuple(e.numerator * (scale // e.denominator) for e in row)
-            grid.append(row)
+            cleared, scale = _cleared_row(tuple(row), i)
             ints.append(cleared)
             scales.append(scale)
         n = len(ints)
@@ -179,7 +163,7 @@ class ExactMatrix:
         for i, row in enumerate(ints, start=1):
             if len(row) != n:
                 raise ValueError(f"row {i} has {len(row)} entries, expected {n} (matrix must be square)")
-        self._cells = None if None in grid else tuple(grid)
+        self._cells = None
         self._int_rows = tuple(ints), math.prod(scales)
         self._scales = tuple(scales)
 
@@ -189,8 +173,8 @@ class ExactMatrix:
 
     @property
     def _grid(self) -> tuple[tuple[int | Fraction, ...], ...]:
-        """The entries: ints, and Fractions where an entry is not an integer; built on first use
-        from the cleared rows where the constructor parsed a p/q row, kept as given otherwise."""
+        """The entries, rebuilt on first use from the cleared rows and their scales: ints, and
+        Fractions where an entry is not an integer.  A row of scale 1 is its own cleared row."""
         if self._cells is None:
             self._cells = tuple(
                 row if scale == 1 else tuple(e // scale if e % scale == 0 else Fraction(e, scale) for e in row)
@@ -245,10 +229,10 @@ class ExactMatrix:
             raise ValueError(f"row {j!r} is not an int in 1..{self.n}")
         if _not_a_row(b):
             raise ValueError(f"replacement row is a {type(b).__name__}, not a sequence of entries")
-        vec = tuple(map(_exact, b))
+        vec = [Fraction(*_pair(entry)) for entry in b]
         if len(vec) != self.n:
             raise ValueError(f"replacement row has {len(vec)} entries, expected {self.n}")
-        a, c = _exact(alpha), _exact(beta)
+        a, c = Fraction(*_pair(alpha)), Fraction(*_pair(beta))
         new_row = tuple(a * x + c * y for x, y in zip(self._grid[j - 1], vec))
         return ExactMatrix(
             new_row if i == j - 1 else row for i, row in enumerate(self._grid)
@@ -263,12 +247,14 @@ class ExactMatrix:
 
         The dihedrant, the determinant and every scheme are linear in each row, so their
         value is their value on these integer rows divided by the product; rank does not
-        change.  Built by the constructor as it checks each row; the rows are tuples (an
-        integer row is the stored row itself), and nothing writes to them.
+        change.  Built by the constructor as it checks each row; the rows are tuples (a row
+        given as ints is that tuple itself), and nothing writes to them.
         """
         return self._int_rows
 
     def _check_perm(self, sigma: Permutation) -> None:
+        if not isinstance(sigma, Permutation):
+            raise ValueError(f"sigma must be a Permutation, got a {type(sigma).__name__}")
         if sigma.n != self.n:
             raise ValueError(f"permutation of order {sigma.n} on a {self.n}x{self.n} matrix")
 

@@ -157,6 +157,13 @@ def test_rank_suites_pass():
     assert check_rank_two_small(seed=2, trials=100).failures == 0
 
 
+@pytest.mark.parametrize("odd_rows", [True, False, 1.0, "1", None, 3, 0])
+def test_odd_rows_must_be_the_int_1_or_2(odd_rows):
+    # True == 1 would run the claim and name it thm:rowsTrue
+    with pytest.raises(ValueError, match=f"^odd_rows must be 1 or 2, got {odd_rows!r}$"):
+        check_equal_rows(0, 3, odd_rows=odd_rows)
+
+
 def test_a_failing_suite_counts_its_failures_and_keeps_the_first_witness(monkeypatch):
     real = analysis.dihedrant
     monkeypatch.setattr(analysis, "dihedrant", lambda A: 1 if A.n >= 6 else real(A))
@@ -749,6 +756,19 @@ def test_report_invariants():
         TheoremReport("x", 5, 0, witness="[[1]]")  # witness without failure
     with pytest.raises(ValueError):
         TheoremReport("x", 5, 6, witness="[[1]]")
+    with pytest.raises(ValueError, match="^a report needs at least 1 trial, got 0$"):
+        TheoremReport("x", 0, 0)  # no case checked would read as a pass
+
+
+@pytest.mark.parametrize(
+    "run",
+    [lambda: check_sign_formulas(0), lambda: check_antitriangular(5, trials=0),
+     lambda: check_corner_pattern(5, trials=0), lambda: check_order3_equality(0, 0)],
+    ids=["signs", "antitri", "corner", "order3"],
+)
+def test_a_claim_checked_on_no_case_is_refused(run):
+    with pytest.raises(ValueError, match="^a report needs at least 1 trial, got 0$"):
+        run()
 
 
 def test_registry_runs_every_claim():

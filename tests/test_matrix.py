@@ -29,7 +29,7 @@ from dihedrant.matrix import (
 from dihedrant.perm import Permutation, compose, dihedral_group, rotation_perm, sgn, sig
 
 from dihedrant.functionals import dihedrant, elimination_det, leibniz_det
-from dihedrant.matrix_io import load_matrix
+from dihedrant.matrix_io import load_matrix, parse_matrix_json
 from dihedrant.schemes import false_sarrus_scheme
 
 from conftest import (
@@ -105,8 +105,8 @@ def test_scalar_strings_go_through_parse_scalar():
             parse("3/0")
     with pytest.raises(MatrixFormatError, match="not a string: 5"):  # an entry, but no string to parse
         parse_scalar(5)
-    q = Fraction(5, 7)
-    assert ExactMatrix([[q]])._grid[0][0] is q
+    q = ExactMatrix([[Fraction(5, 7)]])._grid[0][0]
+    assert q == Fraction(5, 7) and type(q) is Fraction
 
 
 def test_the_empty_matrix_has_rank_0_and_determinant_1():
@@ -120,6 +120,16 @@ def test_constructor_requires_square():
         ExactMatrix([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(ValueError):
         ExactMatrix([])
+
+
+@pytest.mark.parametrize("rows, message", [([[]], "row 1 has 0 entries, expected 1"),
+                                           ([[1, 2], []], "row 2 has 0 entries, expected 2"),
+                                           ([[], ["1/2", "3"]], "row 1 has 0 entries, expected 2")])
+def test_an_empty_row_is_a_row_of_0_entries(rows, message):
+    with pytest.raises(ValueError, match=f"^{message} \\(matrix must be square\\)$"):
+        ExactMatrix(rows)
+    with pytest.raises(MatrixFormatError, match=f"^{message} \\(matrix must be square\\)$"):
+        parse_matrix_json(json.dumps(rows))
 
 
 def test_entry_access_is_one_based():
@@ -229,23 +239,30 @@ MATRIX_FORMS = {
 
 def parse_scalar_matrix(rows) -> ExactMatrix:
     """The reference: every cell through parse_scalar or Fraction first."""
-    return ExactMatrix([[parse_scalar(e) if isinstance(e, str) else Fraction(e) for e in row] for row in rows])
+    return ExactMatrix(parsed_cells(rows))
+
+
+def parsed_cells(rows) -> list[list[Fraction]]:
+    """Each cell read alone: a str by parse_scalar, anything else by Fraction."""
+    return [[parse_scalar(e) if isinstance(e, str) else Fraction(e) for e in row] for row in rows]
 
 
 @pytest.mark.parametrize("form", MATRIX_FORMS)
 def test_every_form_reads_as_the_matrix_of_its_parsed_cells(form):
     rows = MATRIX_FORMS[form]
     A, B = ExactMatrix(rows), parse_scalar_matrix(rows)
+    cells = parsed_cells(rows)
     assert A == B and hash(A) == hash(B) and A._cleared() == B._cleared()
-    assert (A._cells is None) == ("str" in form and "integer" not in form)  # a p/q str row waits for _grid
-    assert A.rows == B.rows and repr(A) == repr(B)
-    assert [[type(e) for e in row] for row in A._grid] == [[type(e) for e in row] for row in B._grid]
-    assert all(A.entry(i, j) == B.entry(i, j) for i in range(1, 4) for j in range(1, 4))
+    assert A.rows == tuple(map(tuple, cells)) and repr(A) == repr(B)
+    # the grid holds an int wherever a cell is an integer, and a Fraction elsewhere
+    assert [[type(e) for e in row] for row in A._grid] == [
+        [int if e.denominator == 1 else Fraction for e in row] for row in cells]
+    assert all(A.entry(i, j) == cells[i - 1][j - 1] for i in range(1, 4) for j in range(1, 4))
     sigma = Permutation((2, 3, 1))
     for op in (ExactMatrix.transpose, lambda M: M.permute_rows(sigma), lambda M: M.permute_columns(sigma),
                lambda M: M.linear_combination_row(2, Fraction(1, 3), "-2", ["1/2", 3, Fraction(5, 7)])):
         assert op(A).rows == op(B).rows and op(A) == op(B)
-    assert leibniz_det(A) == leibniz_det(B) == elimination_det(A) == gauss_det(B.rows)
+    assert leibniz_det(A) == leibniz_det(B) == elimination_det(A) == gauss_det(cells)
 
 
 def test_equal_matrices_in_different_forms_are_equal_and_hash_alike():
@@ -365,6 +382,14 @@ def test_permute_size_mismatch():
         A.permute_columns(rotation_perm(4, 1))
     with pytest.raises(ValueError):
         A.permute_rows(rotation_perm(2, 1))
+
+
+@pytest.mark.parametrize("sigma, kind", [((2, 1), "tuple"), ([2, 1], "list"), (None, "NoneType")])
+def test_only_a_permutation_permutes(sigma, kind):
+    A = ExactMatrix([[1, 2], [3, 4]])
+    for permute in (A.permute_rows, A.permute_columns):
+        with pytest.raises(ValueError, match=f"^sigma must be a Permutation, got a {kind}$"):
+            permute(sigma)
 
 
 # ---------------------------------------------------------------------------

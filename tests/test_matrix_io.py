@@ -108,6 +108,9 @@ def test_csv_errors_name_the_position():
         parse_matrix_csv("1,2\n\n3,x\n")
     with pytest.raises(MatrixFormatError, match="row 2 has 1 entries"):
         parse_matrix_csv("1,2\n\n3\n")
+    # so no CSV row has 0 entries: an empty quoted field is a row of one empty cell
+    with pytest.raises(MatrixFormatError, match="^row 2, column 1: not an integer or p/q value: ''$"):
+        parse_matrix_csv('1,2\n""\n')
 
 
 def test_csv_cell_past_the_field_limit_is_a_format_error():
@@ -202,17 +205,17 @@ def test_both_loaders_accept_a_cell_exactly_as_parse_scalar_does(cell):
 
 def test_each_cell_of_a_json_document_is_checked_once():
     rows = [[1, "1/2", "-3"], ["2/3", 4, " 5/6 "], ["7", "8/9", 0]]  # every row mixes ints and strings
-    # counted by code object, so a caller that imported a function by name is counted too
-    calls = {matrix._exact.__code__: 0, matrix._parse.__code__: 0}
+    calls = 0  # counted by code object, so a caller that imported the function by name is counted too
 
     def count(frame, event, arg):
-        if event == "call" and frame.f_code in calls:
-            calls[frame.f_code] += 1
+        nonlocal calls
+        if event == "call" and frame.f_code is matrix._pair.__code__:
+            calls += 1
 
     sys.setprofile(count)
     try:
         A = parse_matrix_json(json.dumps(rows))
     finally:
         sys.setprofile(None)
-    assert list(calls.values()) == [9, 6]  # each cell through _exact once, each string through _parse once
+    assert calls == 9  # each cell through the one entry reader once
     assert A == ExactMatrix([[1, Fraction(1, 2), -3], [Fraction(2, 3), 4, Fraction(5, 6)], [7, Fraction(8, 9), 0]])
