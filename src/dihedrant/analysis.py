@@ -51,8 +51,9 @@ from .matrix import ExactMatrix, integer_det, signed_product_sum
 from .matrix_io import matrix_to_json
 from .perm import (
     DihedralElement,
-    DihedralKind,
     ResourceLimitError,
+    _check_int,
+    _check_order,
     _check_order_index,
     dihedral_group,
     reflection_perm,
@@ -86,19 +87,14 @@ class SearchConfig:
         except (TypeError, ValueError):  # not iterable, or not two values
             raise ValueError(f"entry_range must be a pair of ints, got {self.entry_range!r}") from None
         object.__setattr__(self, "entry_range", (lo, hi))  # an iterator is read once, a list is unhashable
-        for name, value in (("n", self.n), ("entry_range[0]", lo), ("entry_range[1]", hi),
-                            ("sample_count", self.sample_count), ("seed", self.seed)):
-            if type(value) is not int:  # bools too; a float would fail inside the search
-                raise ValueError(f"{name} must be an int, got {value!r}")
+        _check_order(self.n)
+        _check_int("entry_range[0]", lo)
+        _check_int("entry_range[1]", hi)
+        _check_int("sample_count", self.sample_count, nonnegative=True)
+        _check_int("seed", self.seed, nonnegative=True)  # Random(-x) seeds like Random(x)
         object.__setattr__(self, "mode", SearchMode(self.mode))  # a bare "exhaustive" would read as random
-        if self.n < 1:
-            raise ValueError(f"order must be positive, got {self.n}")
         if lo > hi:
             raise ValueError(f"empty entry range [{lo}, {hi}]")
-        if self.sample_count < 0:
-            raise ValueError("sample_count must be nonnegative")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -144,10 +140,12 @@ def _report(
 
 
 def _draws(seed: int, trials: int, draw: Callable[[Random], T], offset: int = 0) -> Iterator[T]:
-    """draw(rng) on the streams of indices offset .. offset + trials - 1, lazily."""
-    for index in range(offset, offset + trials):
-        # one child stream per sample index, so scheduling cannot reorder draws
-        yield draw(Random((seed << 32) + index))
+    """draw(rng) on the streams of indices offset .. offset + trials - 1, lazily; seed and trials
+    are checked at the call.  0 trials pass here, and a report refuses them as vacuous."""
+    _check_int("seed", seed, nonnegative=True)
+    _check_int("trials", trials, nonnegative=True)
+    # one child stream per sample index, so scheduling cannot reorder draws
+    return (draw(Random((seed << 32) + index)) for index in range(offset, offset + trials))
 
 
 def _ints(rng: Random, count: int, lo: int, hi: int) -> list[int]:
@@ -215,25 +213,20 @@ class SignRow(NamedTuple):
 def classify_signs(n: int) -> list[SignRow]:
     """For every element of D_n: band sign, true parity, and agreement.
 
-    Parity comes from the transposition-count formulas and is cross-checked
-    against the cycle-decomposition parity on every row.  Closed form:
+    Parity is ``perm.sgn``'s, from the cycle decomposition.  Claim ``lem:signs``
+    checks it against the transposition-count formulas, whose closed form is
     sgn(rho_k) = -1 iff n and k are both even; sgn(mu_k) = (-1)**(C(k,2) +
     C(n-k,2)), where C(m,2) is odd iff m mod 4 is 2 or 3.
     """
     rows = []
     for elem in dihedral_group(n):
-        if elem.kind is DihedralKind.ROTATION:
-            count = transposition_count_rotation(n, elem.index)
-        else:
-            count = transposition_count_reflection(n, elem.index)
-        parity = 1 if count % 2 == 0 else -1
-        if parity != sgn(elem.perm):
-            raise RuntimeError(f"transposition-count parity disagrees with cycles for {elem.name}, n={n}")
+        parity = sgn(elem.perm)
         rows.append(SignRow(elem, sig(elem), parity, parity == sig(elem)))
     return rows
 
 
 def check_sign_formulas(max_n: int = 12) -> TheoremReport:
+    _check_int("max_n", max_n)
     cases = (
         ("rotation", transposition_count_rotation, rotation_perm),
         ("reflection", transposition_count_reflection, reflection_perm),
@@ -362,6 +355,7 @@ def check_antitriangular(n: int, trials: int = 100, seed: int = 0) -> TheoremRep
     in D_n as both a rotation and a reflection, the two summands cancel, and
     the single-summand argument breaks down.
     """
+    _check_int("n", n)
     if n < 3:
         raise ValueError("anti-triangular checks need n >= 3")
     det_sign = 1 if n % 4 in (0, 1) else -1
@@ -386,6 +380,7 @@ def check_antitriangular(n: int, trials: int = 100, seed: int = 0) -> TheoremRep
 
 def corner_pattern_mask(n: int) -> set[tuple[int, int]]:
     """Positions allowed to be nonzero: diagonal, superdiagonal, corner (n,1)."""
+    _check_int("n", n)
     if n < 2:
         raise ValueError("corner pattern needs n >= 2")
     mask = {(i, i) for i in range(1, n + 1)}
@@ -395,7 +390,7 @@ def corner_pattern_mask(n: int) -> set[tuple[int, int]]:
 
 
 def _corner_pattern_rows(rng: Random, n: int) -> list[list[int]]:
-    mask = corner_pattern_mask(n)
+    mask = corner_pattern_mask(n)  # which checks n, before the first draw
     return [[_nonzero_int(rng, 5) if (i, j) in mask else 0 for j in range(1, n + 1)]
             for i in range(1, n + 1)]
 
@@ -451,8 +446,9 @@ def check_oracle_agreement(seed: int = 0, trials: int = 200) -> TheoremReport:
 
 
 def check_corrected_scheme(seed: int = 0, trials: int = 500) -> TheoremReport:
-    """Partition of S_4, per-element parity disagreements, and det agreement."""
-    schemes = corrected_scheme_4x4()  # raises if the partition breaks
+    """Partition of S_4 (the one check of it: a bad coset table fails the first trial), per-element
+    parity disagreements, and det agreement."""
+    schemes = corrected_scheme_4x4()
     perms = {m.perm.images for s in schemes for m in s.monomials}
     disagreements = sum(1 for elem, parity in scheme_signs_within_D4() if parity != sig(elem))
     identity = ExactMatrix.identity(4)
@@ -763,14 +759,11 @@ def run_claims(ids: Iterable[str], seed: int = 0, trials: int = 200) -> list[The
     if isinstance(ids, str):  # its characters would read as ids
         raise ValueError(f"ids must be a list of claim ids, got {ids!r}")
     ids = list(ids)  # read more than once below, and an iterator only once
-    for name, value in (("seed", seed), ("trials", trials)):
-        if type(value) is not int:  # bools too; a float would fail inside _draws, perhaps in a child
-            raise ValueError(f"{name} must be an int, got {value!r}")
+    _check_int("seed", seed, nonnegative=True)  # here, not in a child: each claim's _draws checks it too
+    _check_int("trials", trials)
     runs = [CLAIMS[claim_id].run for claim_id in ids]  # an unknown id raises KeyError
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
     if trials > MAX_TRIALS:
         raise ResourceLimitError(f"{trials} trials exceed the limit of {MAX_TRIALS} per claim")
     rank = {claim_id: k for k, claim_id in enumerate(_HEAVY_CLAIMS)}

@@ -33,7 +33,7 @@ import reprlib
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .perm import Permutation
+from .perm import Permutation, _check_int
 
 
 class _Brief(reprlib.Repr):
@@ -169,6 +169,7 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
+        _check_int("n", n)
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @property

@@ -5,10 +5,12 @@ Two hand-authorable formats:
 * JSON: an array of arrays; each entry is an integer or a string "p/q".
 * CSV: one row per line; each cell is an integer or p/q.
 
-A decoded JSON array and the non-blank rows of ``csv.reader`` go to
-``ExactMatrix`` as they are; its one pass per row checks, parses and clears
-each entry with the one strict scalar parser (no floats, booleans, scientific
-notation or zero denominators), and names a bad entry's row and column.
+A decoded JSON document and the non-blank rows of ``csv.reader`` go to
+``ExactMatrix`` as they are.  It alone checks their shape (an empty file
+reads "matrix must have at least one row"), and its one pass per row checks,
+parses and clears each entry with the one strict scalar parser (no floats,
+booleans, scientific notation or zero denominators), naming a bad entry's
+row and column.
 """
 
 from __future__ import annotations
@@ -36,13 +38,6 @@ def matrix_to_json(A: ExactMatrix) -> str:
     return json.dumps(matrix_to_obj(A))
 
 
-def matrix_from_obj(obj) -> ExactMatrix:
-    """Build a matrix from decoded JSON (list of lists of int or 'p/q')."""
-    if not isinstance(obj, list) or not obj:
-        raise MatrixFormatError("document must be a non-empty array of rows")
-    return _to_square_matrix(obj)
-
-
 def parse_matrix_json(text: str) -> ExactMatrix:
     try:
         obj = json.loads(text)
@@ -50,7 +45,7 @@ def parse_matrix_json(text: str) -> ExactMatrix:
         raise MatrixFormatError(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise MatrixFormatError("invalid JSON: nesting too deep") from None
-    return matrix_from_obj(obj)
+    return _to_square_matrix(obj)
 
 
 def parse_matrix_csv(text: str) -> ExactMatrix:
@@ -58,13 +53,10 @@ def parse_matrix_csv(text: str) -> ExactMatrix:
         records = list(csv.reader(io.StringIO(text)))
     except csv.Error as exc:
         raise MatrixFormatError(f"invalid CSV: {exc}") from None
-    rows = list(filter(None, records))  # blank lines are no rows
-    if not rows:
-        raise MatrixFormatError("no rows found")
-    return _to_square_matrix(rows)
+    return _to_square_matrix(list(filter(None, records)))  # blank lines are no rows
 
 
-def _to_square_matrix(rows: list) -> ExactMatrix:
+def _to_square_matrix(rows) -> ExactMatrix:
     try:
         return ExactMatrix(rows)
     except ValueError as exc:

@@ -16,7 +16,7 @@
   bound, one at a time in this process, folding each residue into the Chinese remainder sum, and
   one more to check.  Below full rank it stops at the first row t that depends mod p on the rows
   before it; that dependency, lifted as the rank's are, proves det A = 0.  If it fails, p divided
-  a minor: ``rank`` certifies the rank, and at full rank the next prime starts over.
+  a minor, and the next prime starts over.  The determinant never calls ``rank``.
 
 Each step of a lifting is two packed products: M^-1 r mod p, whose 64-bit fields stay below
 n (p - 1)**2 < 2**64 by ``_field_bits``, and M y, with M's columns shifted to be non-negative and
@@ -61,13 +61,12 @@ def determinant(m: Sequence[Sequence[int]]) -> int:
         t, det_p, inverse, pivots, _ = _eliminated_mod(columns, p, inverse=True)
         if t == n:
             return _full_rank(m, columns, p, k + 1, det_p, inverse)
-        if k == 0:
-            # with B = m[<t][pivots], field c of kept row k is entry (k, c) of the inverse of B's
-            # transpose mod p, for c in pivots; repacked, these are the rows of B's inverse
-            kept = [_unpacked(x, n) for x in inverse]
-            inverse = [_packed([row[c] for row in kept]) for c in pivots]
-            if _combined(m[:t], pivots, inverse, p, [m[t]]) or rank(m) < n:
-                return 0  # after the first prime the rank is certified n, so only a prime that shows it serves
+        # with B = m[<t][pivots], field c of kept row k is entry (k, c) of the inverse of B's
+        # transpose mod p, for c in pivots; repacked, these are the rows of B's inverse
+        kept = [_unpacked(x, n) for x in inverse]
+        inverse = [_packed([row[c] for row in kept]) for c in pivots]
+        if _combined(m[:t], pivots, inverse, p, [m[t]]):
+            return 0  # otherwise p divided a minor, and the next prime starts over
 
 
 def _full_rank(m, columns, p: int, start: int, det_p: int, inverse: list[int]) -> int:

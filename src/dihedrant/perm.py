@@ -32,6 +32,20 @@ class ResourceLimitError(RuntimeError):
     """Raised when an enumeration would exceed its configured budget."""
 
 
+def _check_int(name: str, value, nonnegative: bool = False) -> None:
+    """Refuse, naming it, a value that is not an int (a bool counts as 0 or 1), or is negative."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if nonnegative and value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+
+
+def _check_order(n: int) -> None:
+    _check_int("n", n)
+    if n < 1:
+        raise ValueError(f"order must be positive, got {n}")
+
+
 def mod1(x: int, n: int) -> int:
     """Map an integer into {1..n} with period n.
 
@@ -120,16 +134,14 @@ def reflection_perm(n: int, k: int) -> Permutation:
 
 
 def _check_order_index(n: int, k: int) -> None:
-    if n < 1:
-        raise ValueError(f"order must be positive, got {n}")
+    _check_order(n)
+    _check_int("k", k)
     if not 1 <= k <= n:
         raise ValueError(f"index k={k} outside 1..{n}")
 
 
 @lru_cache(maxsize=None)
 def _dihedral_elements(n: int) -> tuple[DihedralElement, ...]:
-    if n < 1:
-        raise ValueError(f"order must be positive, got {n}")
     rotations = (
         DihedralElement(rotation_perm(n, k), DihedralKind.ROTATION, k)
         for k in range(1, n + 1)
@@ -148,6 +160,7 @@ def dihedral_group(n: int) -> list[DihedralElement]:
     vertices like some rotation); both copies are kept, since the dihedrant's
     cancellation at those orders sums over all 2n elements.
     """
+    _check_order(n)  # outside the cache, where True and 2.0 would find the entries of 1 and 2
     return list(_dihedral_elements(n))
 
 
@@ -157,8 +170,7 @@ def symmetric_group(n: int) -> Iterator[Permutation]:
     Refuses n above ``DEFAULT_SYMMETRIC_CAP`` (10): the enumeration is meant
     as a desk-scale oracle, not a production path.
     """
-    if n < 1:
-        raise ValueError(f"order must be positive, got {n}")
+    _check_order(n)
     if n > DEFAULT_SYMMETRIC_CAP:
         raise ResourceLimitError(
             f"n={n} exceeds the symmetric group cap of {DEFAULT_SYMMETRIC_CAP}"

@@ -771,6 +771,40 @@ def test_a_claim_checked_on_no_case_is_refused(run):
         run()
 
 
+@pytest.mark.parametrize("run, message", [
+    (lambda: check_antitriangular(5.0, trials=2), "n must be an int, got 5.0"),
+    (lambda: check_corner_pattern(5, trials=2.0), "trials must be an int, got 2.0"),
+    (lambda: check_sign_formulas(2.5), "max_n must be an int, got 2.5"),
+    (lambda: check_order3_equality(0, True), "trials must be an int, got True"),
+    (lambda: check_corner_pattern(5, trials=True), "trials must be an int, got True"),
+    (lambda: check_order3_equality(-1, 2), "seed must be nonnegative, got -1"),
+    (lambda: check_rank_one(0, -3), "trials must be nonnegative, got -3"),
+    (lambda: check_degenerate_orders(1.0, 2), "seed must be an int, got 1.0"),
+], ids=["antitri-n", "corner-trials", "signs-max_n", "order3-bool", "corner-bool",
+        "order3-seed", "rank1-trials", "degenerate-seed"])
+def test_a_claim_checker_refuses_a_bad_argument_before_any_draw(run, message, monkeypatch):
+    # each ended in a TypeError, ran on 1 trial or a negative seed, or said "got 0" for -3 trials
+    drawn = []
+    monkeypatch.setattr(analysis, "Random", drawn.append)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run()
+    assert drawn == []
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda: classify_signs(True), "n must be an int, got True"),
+    (lambda: transposition_count_rotation(4.0, 1), "n must be an int, got 4.0"),
+    (lambda: transposition_count_reflection(True, 1), "n must be an int, got True"),
+    (lambda: corner_pattern_mask(2.0), "n must be an int, got 2.0"),
+    (lambda: corner_pattern_mask(1), "corner pattern needs n >= 2"),
+    (lambda: check_corner_pattern(5.0, trials=2), "n must be an int, got 5.0"),  # by the mask of its first sample
+], ids=["classify", "rotation-count", "reflection-count", "mask-float", "mask-1", "corner-n"])
+def test_an_order_that_is_no_int_or_too_small_is_refused(run, message):
+    # classify_signs(True) returned 2 rows and transposition_count_rotation(4.0, 1) returned 0.0
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run()
+
+
 def test_registry_runs_every_claim():
     assert len(claim_ids()) == 16
     for claim_id in claim_ids():

@@ -100,6 +100,19 @@ def test_eval_nonsquare_exits_two(capsys, tmp_path):
     assert code == 2 and "square" in err
 
 
+@pytest.mark.parametrize("name, text, message", [
+    ("empty.csv", "", "matrix must have at least one row"),
+    ("empty.json", "[]", "matrix must have at least one row"),
+    ("object.json", "{}", "rows must be a sequence of rows, not a dict"),
+    ("null.json", "null", "rows must be a sequence of rows, not a NoneType"),
+])
+def test_eval_of_a_document_with_no_rows_exits_two(name, text, message, capsys, tmp_path):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, "eval", str(path), "dih")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_eval_missing_file_exits_two(capsys, tmp_path):
     code, _, err = run(capsys, "eval", str(tmp_path / "absent.json"), "dih")
     assert code == 2 and "error" in err

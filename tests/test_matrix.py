@@ -11,6 +11,7 @@ import subprocess
 import sys
 from array import array
 from decimal import Decimal
+from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -157,6 +158,30 @@ def test_equality_and_hash():
     assert A != ExactMatrix([[1, 2], [3, 5]])
     C = ExactMatrix([[Fraction(1), "2/1"], [Fraction(6, 2), " 4 "]])
     assert A == C and hash(A) == hash(C)
+
+
+def test_a_matrix_is_not_equal_to_a_non_matrix():
+    A = ExactMatrix([[5]])
+    assert A.__eq__(5) is NotImplemented
+    assert (A == 5) is False and (A != 5) is True
+
+
+def test_an_int_subclass_entry_reads_as_its_int_value():
+    # an IntEnum is an int but not of type int, so _pair reads it through Fraction
+    class Small(IntEnum):
+        TWO = 2
+        THREE = 3
+
+    A = ExactMatrix([[Small.TWO, 1], [0, Small.THREE]])
+    assert A == ExactMatrix([[2, 1], [0, 3]])
+    assert [type(e) for row in A._cleared()[0] for e in row] == [int] * 4
+
+
+@pytest.mark.parametrize("n", [True, False, 2.0, "2", None], ids=repr)
+def test_identity_takes_only_an_int_order(n):
+    # True built the 1x1 identity, and 2.0 ended in a TypeError inside range()
+    with pytest.raises(ValueError, match=rf"^n must be an int, got {re.escape(repr(n))}$"):
+        ExactMatrix.identity(n)
 
 
 @pytest.mark.parametrize(
@@ -645,7 +670,7 @@ def _recorded(monkeypatch, module, name: str) -> list:
 @pytest.mark.parametrize("row", [0, 10])
 def test_a_full_rank_that_the_first_prime_misses_falls_back(row, monkeypatch):
     # row 0 is zero modulo the first prime, or row 10 is rows 3 + 5 modulo it: a dependency that
-    # fails over the rationals, so the rank is certified and the next prime lifts the determinant
+    # fails over the rationals, so the next prime starts over and lifts the determinant
     n = matrix.MODULAR_ORDER
     first = modular._prime(modular._field_bits(n), 0)
     rows = random_int_rows(Random(43 + row), n, -9, 9)
@@ -659,9 +684,9 @@ def test_a_full_rank_that_the_first_prime_misses_falls_back(row, monkeypatch):
     combined = _recorded(monkeypatch, modular, "_combined")
     ranks = _recorded(monkeypatch, modular, "rank")
     assert integer_det(rows) == expected[1]
-    # the determinant's dependency fails, and so does the rank's under the first prime; the next
-    # prime finds the full rank and lifts the determinant
-    assert combined[:2] == [None, None] and len(combined) == 3 and ranks == [n]
+    # the first prime's dependency fails, and the next prime finds the full rank and solves A x = b;
+    # the determinant never asks for the rank
+    assert len(combined) == 2 and combined[0] is None and combined[1] is not None and ranks == []
     calls = _recorded_calls(monkeypatch)
     assert integer_rank(rows) == n
     assert [p for p, inverse in calls if not inverse] == [first, modular._prime(modular._field_bits(n), 1)]
@@ -674,6 +699,20 @@ def test_a_singular_matrix_needs_one_prime_and_no_rank(monkeypatch):
     ranks = _recorded(monkeypatch, modular, "rank")
     assert integer_det(rows) == det == 0 and rank == 63
     assert len(primes) == 1 and len(combined) == 1 and combined[0] is not None and ranks == []
+
+
+def test_a_singular_matrix_that_the_first_prime_misses_moves_to_the_next_prime(monkeypatch):
+    # row 0 is zero modulo the first prime, so its dependency there fails over the rationals; the
+    # next prime finds a true dependency, and the determinant is 0 without asking for the rank
+    n = matrix.MODULAR_ORDER
+    rows, _ = _modular_cases(n)["rank n/2"]
+    rows = [[modular._prime(modular._field_bits(n), 0) * e for e in rows[0]], *rows[1:]]
+    primes = _counted_primes(monkeypatch)
+    combined = _recorded(monkeypatch, modular, "_combined")
+    ranks = _recorded(monkeypatch, modular, "rank")
+    assert integer_det(rows) == 0 == matrix._eliminated([list(r) for r in rows])[1]
+    assert primes == [modular._prime(modular._field_bits(n), k) for k in range(2)]
+    assert len(combined) == 2 and combined[0] is None and combined[1] is not None and ranks == []
 
 
 @pytest.mark.parametrize("name", ["full rank", "rank n-1", "rank n/2", "all zero"])
@@ -812,15 +851,12 @@ def test_a_wrong_residue_fails_the_check_prime(wrong, monkeypatch):
         integer_det(rows)
 
 
-@pytest.mark.parametrize("det", [True, False])
-def test_a_rank_above_the_true_rank_fails_the_pivot_block(det, monkeypatch):
+def test_a_rank_above_the_true_rank_fails_the_pivot_block(monkeypatch):
     # a kernel that reports one pivot too many: the pivot block is singular modulo p, which
-    # Gauss-Jordan finds.  The determinant reaches the rank only by its fallback, here forced by a
-    # row 0 that is zero modulo the first prime, which a scaled row of the matrix keeps at rank n/2
+    # Gauss-Jordan finds
     n = matrix.MODULAR_ORDER
     rows, (rank, _) = _modular_cases(n)["rank n/2"]
-    rows = [[modular._prime(modular._field_bits(n), 0) * e for e in rows[0]], *rows[1:]]
-    assert (integer_det(rows) == 0 if det else True) and integer_rank(rows) == rank == n // 2
+    assert integer_rank(rows) == rank == n // 2
     eliminated_mod = modular._eliminated_mod
 
     def one_too_many(m, p, inverse=False):
@@ -833,7 +869,7 @@ def test_a_rank_above_the_true_rank_fails_the_pivot_block(det, monkeypatch):
 
     monkeypatch.setattr(modular, "_eliminated_mod", one_too_many)
     with pytest.raises(ArithmeticError, match="fewer pivots"):
-        integer_det(rows) if det else integer_rank(rows)
+        integer_rank(rows)
 
 
 @pytest.mark.parametrize("n", [63, 64])

@@ -86,6 +86,20 @@ def test_a_json_row_that_is_no_array_is_named(text, message):
     assert str(raised.value) == f"{message}, not a sequence of entries"
 
 
+@pytest.mark.parametrize("name, text, message", [
+    ("empty.csv", "", "matrix must have at least one row"),
+    ("blank.csv", "\n\n", "matrix must have at least one row"),
+    ("empty.json", "[]", "matrix must have at least one row"),
+    ("object.json", "{}", "rows must be a sequence of rows, not a dict"),
+    ("null.json", "null", "rows must be a sequence of rows, not a NoneType"),
+])
+def test_a_document_with_no_rows_reads_as_the_constructor_message(name, text, message, tmp_path):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(MatrixFormatError, match=f"^{message}$"):
+        load_matrix(path)
+
+
 def test_json_structural_errors():
     with pytest.raises(MatrixFormatError):
         parse_matrix_json("{}")

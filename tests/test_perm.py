@@ -45,6 +45,31 @@ def test_permutation_rejects_images_that_are_not_ints(images):
         Permutation(images)
 
 
+@pytest.mark.parametrize("build", [
+    lambda n: rotation_perm(n, 1), lambda n: reflection_perm(n, 1), dihedral_group, lambda n: list(symmetric_group(n)),
+], ids=["rotation", "reflection", "dihedral", "symmetric"])
+@pytest.mark.parametrize("order", [True, 4.0, 2.0, "3"], ids=repr)
+def test_an_order_must_be_an_int(build, order):
+    # rotation_perm(True, 1) was (1) and dihedral_group(True) had 2 elements; rotation_perm(4.0, 1) and
+    # dihedral_group(2.0) ended in a TypeError.  The group's cache must not hand True the entry of 1
+    dihedral_group(1), dihedral_group(2)
+    with pytest.raises(ValueError, match=rf"^n must be an int, got {re.escape(repr(order))}$"):
+        build(order)
+
+
+@pytest.mark.parametrize("k", [True, 1.0], ids=repr)
+def test_an_index_must_be_an_int(k):
+    with pytest.raises(ValueError, match=rf"^k must be an int, got {k!r}$"):
+        rotation_perm(4, k)
+
+
+@pytest.mark.parametrize("build", [lambda: rotation_perm(0, 1), lambda: list(symmetric_group(0)), lambda: dihedral_group(-1)],
+                         ids=["rotation", "symmetric", "dihedral"])
+def test_an_order_below_1_is_refused(build):
+    with pytest.raises(ValueError, match="^order must be positive, got (0|-1)$"):
+        build()
+
+
 def test_permutation_stores_its_images_as_a_tuple():
     s = Permutation([2, 1])
     assert s.images == (2, 1) and type(s.images) is tuple

@@ -5,9 +5,12 @@ from random import Random
 
 import pytest
 
+from dihedrant.analysis import check_corrected_scheme
+from dihedrant.cli import main
 from dihedrant.functionals import dihedrant, leibniz_det
 from dihedrant.matrix import ExactMatrix
 from dihedrant import schemes
+from dihedrant.matrix_io import matrix_to_json
 from dihedrant.perm import Permutation, sgn, sig
 from dihedrant.schemes import (
     Scheme,
@@ -83,6 +86,13 @@ def test_band_scheme_evaluates_to_dihedrant():
         assert scheme.evaluate(A) == dihedrant(A)
 
 
+@pytest.mark.parametrize("n", [True, 3.0], ids=repr)
+def test_the_band_scheme_takes_only_an_int_order(n):
+    # True built a Scheme with n=True
+    with pytest.raises(ValueError, match=f"^n must be an int, got {n!r}$"):
+        false_sarrus_scheme(n)
+
+
 # ---------------------------------------------------------------------------
 # corrected 4x4 scheme
 
@@ -102,11 +112,16 @@ def test_corrected_scheme_partitions_s4():
             assert m.sign == sgn(m.perm)
 
 
-def test_corrected_scheme_rejects_representatives_that_do_not_partition_s4(monkeypatch):
-    # (2 3 4 1) is a rotation, so its coset repeats the identity's
+def test_corrected_scheme_rejects_representatives_that_do_not_partition_s4(monkeypatch, capsys):
+    # (2 3 4 1) is a rotation, so its coset repeats the identity's.  The schemes still build, and
+    # claim scheme:4x4 reports the broken partition as its first failing trial, the identity its witness
     monkeypatch.setattr(schemes, "_COSET_REPRESENTATIVES_4", ((1, 2, 3, 4), (2, 3, 4, 1), (1, 3, 2, 4)))
-    with pytest.raises(ValueError, match="partition"):
-        corrected_scheme_4x4()
+    assert len({m.perm.images for s in corrected_scheme_4x4() for m in s.monomials}) == 16
+    report = check_corrected_scheme(seed=0, trials=20)
+    assert report.trials == 22 and report.failures >= 1
+    assert report.witness == matrix_to_json(ExactMatrix.identity(4))
+    assert main(["verify", "scheme:4x4", "--trials", "20"]) == 1
+    assert f"witness: {report.witness}" in capsys.readouterr().out
 
 
 def test_corrected_scheme_first_block_is_the_band_coset():
